@@ -26,6 +26,12 @@ def window_grid(center: float, width: float, count: int,
     return np.unique(np.append(pts, center))
 
 
+def unit_direction(z: complex) -> complex:
+    """``z/|z|``, or 1 when z = 0: the tau on the closed unit disk where
+    ``|z + w tau|`` with real ``w >= 0`` peaks, at ``|z| + w``."""
+    return z / abs(z) if z != 0 else 1 + 0j
+
+
 def golden_max(f, lo: float, hi: float, iters: int = 60) -> float:
     """Abscissa of the maximum of a unimodal ``f`` on [lo, hi]."""
     a, b = float(lo), float(hi)

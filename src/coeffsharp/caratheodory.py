@@ -16,6 +16,7 @@ turns any such ``p`` into a Schwarz function.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from numbers import Number, Rational
 
@@ -85,6 +86,8 @@ class SchwarzCoeffs:
                 continue
             if not isinstance(val, Number):
                 raise ValueError(f"{name} must be a number")
+            if not isinstance(val, Rational) and not cmath.isfinite(val):
+                raise ValueError(f"{name} must be finite, got {val!r}")
             if float(mag_squared(val)) > (2.0 + COEFF_BOUND_TOL) ** 2:
                 raise ValueError(f"|{name}| must be <= 2, got {val!r}")
 

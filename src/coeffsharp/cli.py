@@ -126,7 +126,8 @@ def _write_manifest(path: str | None, command: str, config: dict, started: str,
         "results": results,
     }
     try:
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot write report file: {exc}") from None
 
@@ -215,7 +216,7 @@ def _cmd_eval(args, started) -> int:
         "value": value.real if name.startswith("diff_") else {"re": value.real, "im": value.imag},
         "magnitude": abs(value),
     }
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2, allow_nan=False))
     _write_manifest(args.json, "eval", {}, started, payload)
     return 0
 
@@ -301,7 +302,7 @@ def _cmd_verify(args, started) -> int:
     npass = len(reports) - len(failed)
     print(f"{npass}/{len(reports)} passed")
     for rep in failed:
-        print(f"FAILED: {json.dumps(_report_json(rep))}")
+        print(f"FAILED: {json.dumps(_report_json(rep), allow_nan=False)}")
     _write_manifest(args.json, "verify", _config_dict(cfg), started,
                     [_report_json(rep) for rep in reports])
     return 0 if not failed else 1

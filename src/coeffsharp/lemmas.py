@@ -17,12 +17,14 @@ the branches agree at the seams (see the seam tests).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from numbers import Rational
 
 import numpy as np
 
-from ._search import golden_max, window_grid
+from ._search import golden_max, unit_direction, window_grid
 
 #: positive root of 101 t^4 + 148 t^2 - 60, where the fallback branch of the
 #: inverse-Hankel case analysis switches form (~0.575109).
@@ -77,6 +79,8 @@ class PsiInput:
     def __post_init__(self):
         if not (math.isfinite(self.B1) and self.B1 > 0):
             raise ValueError("B1 must be positive and finite")
+        if not isinstance(self.B2, Rational) and not cmath.isfinite(self.B2):
+            raise ValueError("B2 must be finite")
         if not math.isfinite(self.B3):
             raise ValueError("B3 must be finite and real")
 
@@ -182,8 +186,23 @@ class Lemma24Report:
     at: tuple
 
 
+def _lemma24_parts(B, D, t1, tau2):
+    """(head, w3) with c3 - 2B c1 c2 + D c1^3 = head + w3 tau3, elementwise."""
+    u = 1.0 - t1 * t1
+    c1 = 2.0 * t1
+    c2 = 2.0 * t1 * t1 + 2.0 * u * tau2
+    base3 = 2.0 * t1 ** 3 + 4.0 * u * t1 * tau2 - 2.0 * u * t1 * tau2 * tau2
+    w3 = 2.0 * u * (1.0 - (tau2.real ** 2 + tau2.imag ** 2))
+    return base3 - 2.0 * B * c1 * c2 + D * c1 ** 3, w3
+
+
 def lemma24_check(B: float, D: float, samples: int = 21) -> Lemma24Report:
     """Empirical maximum of |c3 - 2B c1 c2 + D c1^3|, checked against 2.
+
+    The functional is ``|head(tau1, tau2) + w3 tau3|`` with a real weight
+    ``w3 >= 0``, so its sup over the tau3 disk is ``|head| + w3``, attained
+    at ``tau3 = head/|head|`` (1 when head = 0); only (tau1, tau2) is
+    scanned.  ``at`` holds the maximizing triple.
 
     Requires the hypothesis 0 <= B <= 1 and B(2B - 1) <= D <= B; anything
     else is rejected.
@@ -192,24 +211,15 @@ def lemma24_check(B: float, D: float, samples: int = 21) -> Lemma24Report:
         raise ValueError("hypothesis violated: need 0 <= B <= 1")
     if not (B * (2 * B - 1) <= D <= B):
         raise ValueError("hypothesis violated: need B(2B - 1) <= D <= B")
-    t1s = np.linspace(0.0, 1.0, samples)
+    t1 = np.linspace(0.0, 1.0, samples)[:, None]
     r = np.linspace(0.0, 1.0, max(2, (samples + 2) // 3))
     th = np.linspace(0.0, 2.0 * np.pi, 2 * samples, endpoint=False)
-    tau = (r[:, None] * np.exp(1j * th)[None, :]).ravel()
-    best, where = -1.0, (0.0, 0j, 0j)
-    for t1 in t1s:
-        u = 1.0 - t1 * t1
-        c1 = 2.0 * t1
-        c2 = 2.0 * t1 * t1 + 2.0 * u * tau
-        base3 = 2.0 * t1 ** 3 + 4.0 * u * t1 * tau - 2.0 * u * t1 * tau * tau
-        w3 = 2.0 * u * (1.0 - (tau.real ** 2 + tau.imag ** 2))
-        head = base3 - 2.0 * B * c1 * c2 + D * c1 ** 3
-        vals = np.abs(head[:, None] + w3[:, None] * tau[None, :])
-        flat = int(np.argmax(vals))
-        if vals.flat[flat] > best:
-            best = float(vals.flat[flat])
-            i2, i3 = divmod(flat, tau.size)
-            where = (t1, complex(tau[i2]), complex(tau[i3]))
+    tau = (r[:, None] * np.exp(1j * th)[None, :]).ravel()[None, :]
+    head, w3 = _lemma24_parts(B, D, t1, tau)
+    vals = np.abs(head) + w3
+    i1, i2 = divmod(int(np.argmax(vals)), tau.size)
+    best = float(vals[i1, i2])
+    where = (float(t1[i1, 0]), complex(tau[0, i2]), unit_direction(complex(head[i1, i2])))
     return Lemma24Report(best, best <= 2.0 + 1e-9, where)
 
 

@@ -1,27 +1,30 @@
 """Deterministic global search certifying each sharp bound.
 
-Every target scans the full grid over (tau1, |tau2|, arg tau2, |tau3|,
-arg tau3) -- with the dimensions its functional does not read pinned to 0 --
-then refines a shrinking window around the incumbent.  Radius grids always
-contain r = 1 and angle grids always contain 0, so boundary extrema are
-exact grid members.  Scans are pure and deterministic; the tau1 loop of the
-three-parameter targets optionally fans out over threads (capped by the
-COEFFSHARP_THREADS environment variable) with a fixed-order reduction, so
-results are bit-identical either way.
+Every target is searched over (tau1, |tau2|, arg tau2) -- with the
+dimensions its functional does not read pinned to 0 -- by one full grid
+scan followed by rescans of a shrinking window around the incumbent.
+Radius grids always contain r = 1 and angle grids always contain 0, so
+boundary extrema are exact grid members.
+
+The three-parameter functionals are affine in tau3 with a real weight,
+``|head(tau1, tau2) + w(tau1, tau2) tau3|``, so their supremum over the
+closed disk is ``|head| + |w|``, attained at ``tau3 = head/|head|`` (any
+unimodular tau3 when head = 0; 1 is reported).  tau3 is therefore
+eliminated in closed form rather than scanned, and ``evaluations`` counts
+(tau1, tau2) points for every target.  ``objective_slice`` still evaluates
+the affine form on an explicit tau3 grid, as the brute-force oracle of that
+reduction.  Scans are pure and deterministic.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from ._search import window_grid
+from ._search import unit_direction, window_grid
 from .caratheodory import CaratheodoryPoint, coeffs_from_point
 from .functionals import FunctionalValue, evaluate_functional
 
@@ -78,6 +81,9 @@ class SearchConfig:
             raise ValueError("refinement_rounds must be >= 0")
         if not 0 < self.shrink_factor < 1:
             raise ValueError("shrink_factor must lie in (0, 1)")
+        for name in ("tolerance_attain", "tolerance_exceed"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.tolerance_exceed <= 1e-9 <= self.tolerance_attain:
             raise ValueError("need tolerance_exceed <= 1e-9 <= tolerance_attain")
 
@@ -96,10 +102,11 @@ class VerificationReport:
 # --- vectorized objectives -------------------------------------------------
 # Each objective returns the quantity being MAXIMIZED (minimum targets are
 # searched on the negated signed value).  tau2/tau3 enter as flat complex
-# grids; tau1 broadcasts as a column for the two-parameter targets.  The
-# three-parameter functionals are affine in tau3 with a real weight, so they
-# are described by (head(tau1, tau2), weight(tau1, tau2), scale) and the
-# objective matrix is |head + weight * tau3| * scale.
+# grids; tau1 broadcasts as a column.  The three-parameter functionals are
+# affine in tau3 with a real weight, so they are described by
+# (head(tau1, tau2), weight(tau1, tau2), scale): the objective matrix is
+# |head + weight * tau3| * scale and its sup over the disk is
+# (|head| + |weight|) * scale.
 
 def _c12(t1, tau2):
     c1 = 2.0 * t1
@@ -166,12 +173,29 @@ def _affine_matrix(parts, t1, tau2, tau3):
     return np.abs(head[:, None] + w[:, None] * np.asarray(tau3)[None, :]) * scale
 
 
+def _tau3_sup(parts):
+    def objective(t1, tau2):
+        head, w, scale = parts(t1, tau2)
+        return (np.abs(head) + np.abs(w)) * scale
+    return objective
+
+
+def _maximizing_tau3(parts, t1: float, tau2: complex) -> complex:
+    head, _, _ = parts(t1, np.array([tau2]))
+    return unit_direction(complex(head[0]))
+
+
 @dataclass(frozen=True)
 class _Target:
     dims: int  # 1, 2 or 3 active tau parameters
     sign: float  # +1 maximize, -1 minimize the signed value
     bound: Bound
-    objective: object  # dims 1/2: objective array; dims 3: (head, weight, scale)
+    objective: object  # the maximized array; tau3 already eliminated for dims 3
+    parts: object = None  # dims 3: (head, weight, scale) of the affine tau3 form
+
+
+def _affine_target(bound: Bound, parts) -> _Target:
+    return _Target(3, 1.0, bound, _tau3_sup(parts), parts)
 
 
 _SQRT6 = math.sqrt(6.0)
@@ -180,11 +204,11 @@ _SQRT10 = math.sqrt(10.0)
 _TARGETS = {
     "gamma1": _Target(1, 1.0, Bound("1/2", 0.5, "max"), _obj_gamma1),
     "gamma2": _Target(2, 1.0, Bound("1/4", 0.25, "max"), _obj_gamma2),
-    "gamma3": _Target(3, 1.0, Bound("1/6", 1.0 / 6.0, "max"), _parts_gamma3),
-    "H21_log": _Target(3, 1.0, Bound("1/16", 0.0625, "max"), _parts_h21_log),
+    "gamma3": _affine_target(Bound("1/6", 1.0 / 6.0, "max"), _parts_gamma3),
+    "H21_log": _affine_target(Bound("1/16", 0.0625, "max"), _parts_h21_log),
     "Gamma1": _Target(1, 1.0, Bound("1/2", 0.5, "max"), _obj_gamma1),
     "Gamma2": _Target(2, 1.0, Bound("3/8", 0.375, "max"), _obj_Gamma2),
-    "H21_inverse": _Target(3, 1.0, Bound("3/44", 3.0 / 44.0, "max"), _parts_h21_inverse),
+    "H21_inverse": _affine_target(Bound("3/44", 3.0 / 44.0, "max"), _parts_h21_inverse),
     "diff_gamma_upper": _Target(2, 1.0, Bound("1/4", 0.25, "max"),
                                 lambda t1, tau2: _obj_diff_gamma(t1, tau2, 1.0)),
     "diff_gamma_lower": _Target(2, -1.0, Bound("-1/sqrt(6)", -1.0 / _SQRT6, "min"),
@@ -203,23 +227,16 @@ def objective_slice(theorem_id: str, t1: float, tau2: np.ndarray | None = None,
     """Evaluate one target's search objective on a tau1 slice.
 
     For three-parameter targets pass flat complex ``tau2`` and ``tau3`` grids
-    and get the (len(tau2), len(tau3)) objective matrix; two-parameter
-    targets ignore ``tau3``; one-parameter targets ignore both.
+    and get the (len(tau2), len(tau3)) objective matrix, or omit ``tau3`` to
+    get the closed-form sup over the closed tau3 disk that the search scans;
+    two-parameter targets ignore ``tau3``; one-parameter targets ignore both.
     """
     target = _TARGETS[theorem_id]
     if target.dims == 1:
         return np.asarray(target.objective(np.asarray(t1, dtype=float)))
-    if target.dims == 2:
+    if target.dims == 2 or tau3 is None:
         return np.asarray(target.objective(float(t1), np.asarray(tau2)))
-    return _affine_matrix(target.objective, t1, tau2, tau3)
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("COEFFSHARP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    return _affine_matrix(target.parts, t1, tau2, tau3)
 
 
 def _polar(rs, ths):
@@ -232,14 +249,12 @@ class _Incumbent:
     t1: float
     r2: float
     th2: float
-    r3: float
-    th3: float
 
 
 def _scan1(obj, t1s):
     vals = obj(t1s)
     i = int(np.argmax(vals))
-    return _Incumbent(float(vals[i]), float(t1s[i]), 0.0, 0.0, 0.0, 0.0), vals.size
+    return _Incumbent(float(vals[i]), float(t1s[i]), 0.0, 0.0), vals.size
 
 
 def _scan2(obj, t1s, rs, ths):
@@ -248,59 +263,15 @@ def _scan2(obj, t1s, rs, ths):
     flat = int(np.argmax(vals))
     i1, i2 = divmod(flat, tau2.size)
     ir, ith = divmod(i2, ths.size)
-    inc = _Incumbent(float(vals.flat[flat]), float(t1s[i1]),
-                     float(rs[ir]), float(ths[ith]), 0.0, 0.0)
+    inc = _Incumbent(float(vals.flat[flat]), float(t1s[i1]), float(rs[ir]), float(ths[ith]))
     return inc, vals.size
 
 
-def _scan3(parts, t1s, rs2, ths2, rs3, ths3):
-    tau2 = _polar(rs2, ths2)
-    tau3 = _polar(rs3, ths3)
-    t3r, t3i = tau3.real[None, :].copy(), tau3.imag[None, :].copy()
-    shape = (tau2.size, tau3.size)
-    buffers = threading.local()
-
-    def one_slice(t1):
-        # |head + w*tau3| maximized on squared magnitudes in real arithmetic,
-        # on preallocated per-thread scratch to keep the loop allocation-free
-        if getattr(buffers, "shape", None) != shape:
-            buffers.shape = shape
-            buffers.xr, buffers.xi, buffers.m2 = (np.empty(shape) for _ in range(3))
-        xr, xi, m2 = buffers.xr, buffers.xi, buffers.m2
-        head, w, scale = parts(float(t1), tau2)
-        wc = w[:, None]
-        np.multiply(wc, t3r, out=xr)
-        xr += head.real[:, None]
-        np.multiply(wc, t3i, out=xi)
-        xi += head.imag[:, None]
-        np.multiply(xr, xr, out=m2)
-        np.multiply(xi, xi, out=xi)
-        m2 += xi
-        flat = int(np.argmax(m2))
-        return math.sqrt(float(m2.flat[flat])) * scale, flat
-
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_slice, t1s))
-    else:
-        results = [one_slice(t1) for t1 in t1s]
-
-    best_i1 = max(range(len(results)), key=lambda i: results[i][0])
-    value, flat = results[best_i1]
-    i2, i3 = divmod(flat, tau3.size)
-    ir2, ith2 = divmod(i2, ths2.size)
-    ir3, ith3 = divmod(i3, ths3.size)
-    inc = _Incumbent(value, float(t1s[best_i1]), float(rs2[ir2]), float(ths2[ith2]),
-                     float(rs3[ir3]), float(ths3[ith3]))
-    return inc, tau2.size * tau3.size * len(t1s)
-
-
-def _initial_axes(cfg: SearchConfig):
+def _initial_axes(cfg: SearchConfig, dims: int):
     t1s = np.linspace(0.0, 1.0, cfg.grid_tau1)
     rs = np.linspace(0.0, 1.0, cfg.grid_r)
     ths = np.linspace(0.0, 2.0 * np.pi, cfg.grid_theta, endpoint=False)
-    return t1s, rs, ths
+    return (t1s,) if dims == 1 else (t1s, rs, ths)
 
 
 def _refined_axes(inc: _Incumbent, cfg: SearchConfig, round_no: int, dims: int):
@@ -310,18 +281,12 @@ def _refined_axes(inc: _Incumbent, cfg: SearchConfig, round_no: int, dims: int):
         return (t1s,)
     rs2 = window_grid(inc.r2, w, cfg.grid_r, 0.0, 1.0)
     ths2 = window_grid(inc.th2, 2.0 * np.pi * w, cfg.grid_theta)
-    if dims == 2:
-        return t1s, rs2, ths2
-    rs3 = window_grid(inc.r3, w, cfg.grid_r, 0.0, 1.0)
-    ths3 = window_grid(inc.th3, 2.0 * np.pi * w, cfg.grid_theta)
-    return t1s, rs2, ths2, rs3, ths3
+    return t1s, rs2, ths2
 
 
 def _search(target: _Target, cfg: SearchConfig):
-    scan = {1: _scan1, 2: _scan2, 3: _scan3}[target.dims]
-    t1s, rs, ths = _initial_axes(cfg)
-    axes = {1: (t1s,), 2: (t1s, rs, ths), 3: (t1s, rs, ths, rs, ths)}[target.dims]
-    incumbent, evals = scan(target.objective, *axes)
+    scan = _scan1 if target.dims == 1 else _scan2
+    incumbent, evals = scan(target.objective, *_initial_axes(cfg, target.dims))
     for k in range(1, cfg.refinement_rounds + 1):
         cand, n = scan(target.objective, *_refined_axes(incumbent, cfg, k, target.dims))
         evals += n
@@ -330,9 +295,9 @@ def _search(target: _Target, cfg: SearchConfig):
     return incumbent, evals
 
 
-def _point_of(inc: _Incumbent) -> CaratheodoryPoint:
+def _point_of(target: _Target, inc: _Incumbent) -> CaratheodoryPoint:
     tau2 = inc.r2 * complex(math.cos(inc.th2), math.sin(inc.th2))
-    tau3 = inc.r3 * complex(math.cos(inc.th3), math.sin(inc.th3))
+    tau3 = 0j if target.parts is None else _maximizing_tau3(target.parts, inc.t1, tau2)
     return CaratheodoryPoint(inc.t1, tau2, tau3)
 
 
@@ -355,7 +320,7 @@ def verify(theorem_id: str, cfg: SearchConfig = SearchConfig()) -> VerificationR
         theorem_id=theorem_id,
         bound=target.bound,
         empirical_extremum=empirical,
-        maximizer=_point_of(incumbent),
+        maximizer=_point_of(target, incumbent),
         gap=gap,
         evaluations=evals,
         passed=passed,

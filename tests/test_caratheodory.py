@@ -46,6 +46,28 @@ def test_coeffs_reject_oversized():
         SchwarzCoeffs(0, 0, 0, complex(1.5, 1.5))
 
 
+NON_FINITE = (math.nan, math.inf, -math.inf, complex(math.nan, 0), complex(0, math.inf))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_coeffs_reject_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        SchwarzCoeffs(bad)
+    with pytest.raises(ValueError, match="finite"):
+        SchwarzCoeffs(0, 0, bad)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_point_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        CaratheodoryPoint(0.5, bad, 0)
+    with pytest.raises(ValueError):
+        CaratheodoryPoint(0.5, 0, bad)
+    if not isinstance(bad, complex):
+        with pytest.raises(ValueError):
+            CaratheodoryPoint(bad, 0, 0)
+
+
 # --- coefficient map -------------------------------------------------------------
 
 def test_coeffs_at_tau1_equal_one():

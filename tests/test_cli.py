@@ -147,6 +147,42 @@ def test_eval_usage_errors(capsys):
     assert code == 2
 
 
+NON_FINITE = ("nan", "inf", "-inf")
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_eval_rejects_non_finite_coefficients(capsys, bad):
+    # "--c=-inf" keeps argparse from reading "-inf" as an option
+    code, out, err = run(capsys, "eval", "gamma1", f"--c={bad}")
+    assert code == 2 and out == "" and "finite" in err
+    code, out, _ = run(capsys, "eval", "gamma3", "--c", "0", "0", bad)
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_eval_rejects_non_finite_tau(capsys, bad):
+    for taus in ((bad, "0", "0"), ("0", bad, "0"), ("0", "0", bad)):
+        code, out, _ = run(capsys, "eval", "H21_log", "--tau", *taus)
+        assert code == 2 and out == "", taus
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_lemma_l41_rejects_non_finite(capsys, bad):
+    for params in (("1", bad, "1"), (bad, "1", "1"), ("1", "1", bad)):
+        for side in ("plus", "minus"):
+            code, out, err = run(capsys, "lemma", "L41", "--", side, *params)
+            assert code == 2 and out == "" and "finite" in err, (side, params)
+
+
+def test_manifest_refuses_non_finite_json(tmp_path):
+    from coeffsharp.cli import _write_manifest
+
+    path = tmp_path / "bad.json"
+    with pytest.raises(ValueError):
+        _write_manifest(str(path), "eval", {}, "now", {"value": float("nan")})
+    assert not path.exists()
+
+
 # --- verify ---------------------------------------------------------------------
 
 def test_verify_single_with_config_and_json(tmp_path, capsys):
@@ -214,6 +250,10 @@ def test_verify_bad_config(tmp_path, capsys):
     assert run(capsys, "verify", "gamma1", "--config", str(cfg))[0] == 2
     cfg.write_text("grid_tau1\n")
     assert run(capsys, "verify", "gamma1", "--config", str(cfg))[0] == 2
+    for line in ("tolerance_attain = inf", "tolerance_exceed = -inf", "shrink_factor = nan"):
+        cfg.write_text(line + "\n")
+        code, out, _ = run(capsys, "verify", "gamma1", "--config", str(cfg))
+        assert code == 2 and out == "", line
 
 
 # --- lemma ----------------------------------------------------------------------

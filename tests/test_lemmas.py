@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from coeffsharp.caratheodory import CaratheodoryPoint, coeffs_from_point
 from coeffsharp.lemmas import (
     PSI_ARGMAX,
     TAU_SPLIT,
@@ -22,6 +23,7 @@ from coeffsharp.lemmas import (
     y_branch,
     y_brute_force,
     y_closed_form,
+    _lemma24_parts,
 )
 
 # one exemplar per branch of the disk maximum, all double checked against the
@@ -176,6 +178,63 @@ def test_lemma24_over_hypothesis_region():
             assert report.passed, (B, D, report.empirical_max)
 
 
+# brute-force oracle of the tau3 reduction: an explicit grid of 41 radii
+# (1 included) by 144 angles, spaced 2 pi / 144, so the grid maximum is at
+# least cos(pi / 144) times the closed-form sup over the disk
+L24_TAU3 = (np.linspace(0.0, 1.0, 41)[:, None]
+            * np.exp(1j * np.linspace(0.0, 2 * np.pi, 144, endpoint=False))[None, :]).ravel()
+L24_GRID_SLACK = 1.0 - math.cos(math.pi / 144)
+
+
+def lemma24_dense(B, D, t1, tau2):
+    """|c3 - 2B c1 c2 + D c1^3| at (t1, tau2) for every tau3 of L24_TAU3,
+    with (c1, c2, c3) from the coefficient map written out directly."""
+    u = 1.0 - t1 * t1
+    c1 = 2.0 * t1
+    c2 = 2.0 * t1 * t1 + 2.0 * u * tau2
+    c3 = (2.0 * t1 ** 3 + 4.0 * u * t1 * tau2 - 2.0 * u * t1 * tau2 * tau2
+          + 2.0 * u * (1.0 - abs(tau2) ** 2) * L24_TAU3)
+    return np.abs(c3 - 2.0 * B * c1 * c2 + D * c1 ** 3)
+
+
+def lemma24_weights(rng):
+    B = float(rng.uniform(0.0, 1.0))
+    return B, float(rng.uniform(B * (2 * B - 1), B))
+
+
+def test_lemma24_tau3_sup_matches_dense_tau3_scan():
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        B, D = lemma24_weights(rng)
+        t1 = float(rng.uniform(0.0, 1.0))
+        tau2 = complex(math.sqrt(rng.uniform(0.0, 1.0))
+                       * np.exp(1j * rng.uniform(0.0, 2 * np.pi)))
+        head, w3 = _lemma24_parts(B, D, t1, np.array([tau2]))
+        reduced = float(abs(head[0]) + w3[0])
+        brute = float(lemma24_dense(B, D, t1, tau2).max())
+        assert reduced >= brute - 1e-12, (B, D, t1, tau2)
+        assert reduced - brute <= reduced * L24_GRID_SLACK + 1e-12, (B, D, t1, tau2)
+
+
+def test_lemma24_check_matches_dense_scan_and_reports_its_maximizer():
+    rng = np.random.default_rng(25)
+    samples = 9
+    t1s = np.linspace(0.0, 1.0, samples)
+    r = np.linspace(0.0, 1.0, max(2, (samples + 2) // 3))
+    th = np.linspace(0.0, 2.0 * np.pi, 2 * samples, endpoint=False)
+    tau2s = (r[:, None] * np.exp(1j * th)[None, :]).ravel()
+    for _ in range(10):
+        B, D = lemma24_weights(rng)
+        report = lemma24_check(B, D, samples=samples)
+        brute = max(float(lemma24_dense(B, D, float(t1), complex(t2)).max())
+                    for t1 in t1s for t2 in tau2s)
+        assert report.empirical_max >= brute - 1e-12
+        assert report.empirical_max - brute <= report.empirical_max * L24_GRID_SLACK + 1e-12
+        c = coeffs_from_point(CaratheodoryPoint(*report.at))
+        at_value = abs(c.c3 - 2 * B * c.c1 * c.c2 + D * c.c1 ** 3)
+        assert abs(at_value - report.empirical_max) <= 1e-12
+
+
 # --- two-sided |B2 c1^2 + B3 c2| - |B1 c1| ----------------------------------------------
 
 def test_psi_input_validation():
@@ -183,6 +242,9 @@ def test_psi_input_validation():
         PsiInput(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         PsiInput(-1.0, 1.0, 1.0)
+    for bad in (math.nan, math.inf, -math.inf, complex(0, math.nan), complex(math.inf, 0)):
+        with pytest.raises(ValueError, match="B2 must be finite"):
+            PsiInput(1.0, bad, 1.0)
 
 
 def test_psi_bounds_log_weights():

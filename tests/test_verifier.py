@@ -6,11 +6,14 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from coeffsharp.functionals import hankel_inverse_tau
+from coeffsharp.caratheodory import CaratheodoryPoint
+from coeffsharp.functionals import evaluate_functional, hankel_inverse_tau
 from coeffsharp.lemmas import TAU_SPLIT, case_scalar_functions
 from coeffsharp.verifier import (
     THEOREM_IDS,
     SearchConfig,
+    _TARGETS,
+    _maximizing_tau3,
     objective_slice,
     sharpness_witness,
     verify,
@@ -19,6 +22,26 @@ from coeffsharp.verifier import (
 
 COARSE = SearchConfig(grid_tau1=13, grid_r=5, grid_theta=8,
                       refinement_rounds=2, shrink_factor=0.4)
+
+# the three-parameter targets and the scalar functional each one bounds
+THREE_PARAM = {"gamma3": "gamma3", "H21_log": "H21_log", "H21_inverse": "H21_log_inverse"}
+
+# dense explicit tau3 grid of the brute-force oracle: radii include 1 and
+# adjacent angles are 2 pi / 144 apart, so some grid tau3 lies within pi / 144
+# of the maximizing direction on the unit circle and the grid maximum is at
+# least cos(pi / 144) times the closed-form sup
+TAU3_ANGLES = 144
+DENSE_TAU3 = (np.linspace(0.0, 1.0, 41)[:, None]
+              * np.exp(1j * np.linspace(0.0, 2 * np.pi, TAU3_ANGLES, endpoint=False))[None, :]
+              ).ravel()
+TAU3_GRID_SLACK = 1.0 - math.cos(math.pi / TAU3_ANGLES)
+
+
+def random_t1_tau2(seed, n=200):
+    rng = np.random.default_rng(seed)
+    t1 = rng.uniform(0.0, 1.0, n)
+    tau2 = np.sqrt(rng.uniform(0.0, 1.0, n)) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))
+    return zip(t1.tolist(), tau2.tolist())
 
 
 def test_config_validation():
@@ -32,6 +55,10 @@ def test_config_validation():
         SearchConfig(tolerance_exceed=1e-6)
     with pytest.raises(ValueError):
         SearchConfig(refinement_rounds=-1)
+    with pytest.raises(ValueError, match="finite"):
+        SearchConfig(tolerance_attain=math.inf)
+    with pytest.raises(ValueError, match="finite"):
+        SearchConfig(tolerance_exceed=-math.inf)
 
 
 def test_verify_rejects_unknown_id():
@@ -76,14 +103,42 @@ def test_determinism_bit_for_bit():
     assert first == second
 
 
-def test_thread_count_does_not_change_results(monkeypatch):
-    cfg = SearchConfig(grid_tau1=15, grid_r=5, grid_theta=12,
-                       refinement_rounds=2, shrink_factor=0.5)
-    monkeypatch.setenv("COEFFSHARP_THREADS", "1")
-    serial = verify("H21_log", cfg)
-    monkeypatch.setenv("COEFFSHARP_THREADS", "3")
-    threaded = verify("H21_log", cfg)
-    assert serial == threaded
+@pytest.mark.parametrize("theorem_id", sorted(THREE_PARAM))
+def test_tau3_sup_matches_dense_tau3_scan(theorem_id):
+    for t1, tau2 in random_t1_tau2(5):
+        reduced = float(objective_slice(theorem_id, t1, np.array([tau2]))[0])
+        brute = float(objective_slice(theorem_id, t1, np.array([tau2]), DENSE_TAU3).max())
+        assert reduced >= brute - 1e-12, (t1, tau2)
+        assert reduced - brute <= reduced * TAU3_GRID_SLACK + 1e-12, (t1, tau2)
+
+
+@pytest.mark.parametrize("theorem_id,functional", sorted(THREE_PARAM.items()))
+def test_maximizing_tau3_attains_the_sup(theorem_id, functional):
+    parts = _TARGETS[theorem_id].parts
+    for t1, tau2 in random_t1_tau2(6):
+        tau3 = _maximizing_tau3(parts, t1, tau2)
+        assert abs(abs(tau3) - 1.0) <= 1e-12
+        reduced = float(objective_slice(theorem_id, t1, np.array([tau2]))[0])
+        got = abs(evaluate_functional(functional, CaratheodoryPoint(t1, tau2, tau3)).value)
+        assert abs(got - reduced) <= 1e-12, (t1, tau2)
+
+
+@pytest.mark.parametrize("theorem_id,functional", sorted(THREE_PARAM.items()))
+def test_reported_maximizer_reproduces_extremum(theorem_id, functional):
+    for cfg in (COARSE, SearchConfig(grid_tau1=17, grid_r=6, grid_theta=10,
+                                     refinement_rounds=1)):
+        rep = verify(theorem_id, cfg)
+        assert abs(abs(rep.maximizer.tau3) - 1.0) <= 1e-12
+        got = abs(evaluate_functional(functional, rep.maximizer).value)
+        assert abs(got - rep.empirical_extremum) <= 1e-12
+
+
+def test_three_param_evaluations_count_tau1_tau2_points():
+    unrefined = SearchConfig(grid_tau1=13, grid_r=5, grid_theta=8, refinement_rounds=0)
+    for cfg, expected in ((unrefined, 13 * 5 * 8), (SearchConfig(), 1_081_710)):
+        assert verify("gamma2", cfg).evaluations == expected
+        for theorem_id in THREE_PARAM:
+            assert verify(theorem_id, cfg).evaluations == expected, theorem_id
 
 
 def test_reports_carry_counts_and_points():
