@@ -1,4 +1,4 @@
-"""Shared helpers for grid scans with local refinement."""
+"""The grid scan/refine engine behind every search, and its scalar helpers."""
 
 from __future__ import annotations
 
@@ -9,21 +9,60 @@ import numpy as np
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def window_grid(center: float, width: float, count: int,
-                lo: float | None = None, hi: float | None = None) -> np.ndarray:
-    """Evenly spaced grid on a window around ``center``, incumbent included.
+def polar(r, theta):
+    """``r e^{i theta}``, elementwise: a complex parameter from polar grids."""
+    return r * np.exp(1j * theta)
 
-    The window clamps to ``[lo, hi]`` when given; the center itself is always
-    a grid member so refinement never regresses.
+
+def _scan(objective, grids):
+    vals = objective(*np.ix_(*grids))
+    flat = int(np.argmax(vals))
+    idx = np.unravel_index(flat, vals.shape)
+    return float(vals.flat[flat]), tuple(float(g[i]) for g, i in zip(grids, idx)), vals.size
+
+
+def _window(center: float, axis, w: float) -> np.ndarray:
+    lo, hi, count, periodic = axis
+    half = w * (hi - lo) / 2.0
+    a, b = center - half, center + half
+    if not periodic:
+        a, b = max(a, lo), min(b, hi)
+    # the incumbent stays a grid member, so a round never loses it
+    return np.unique(np.append(np.linspace(a, b, count), center))
+
+
+def grid_argmax(objective, axes, rounds: int = 0, shrink: float = 0.35):
+    """Maximize ``objective`` on a product grid, then on shrinking windows.
+
+    Each axis is ``(lo, hi, count, periodic)``; a periodic axis leaves ``hi``
+    out of its grid, and its windows run past ``[lo, hi]`` instead of being
+    clamped to it.  ``objective`` gets one open-mesh array per axis (as from
+    ``np.ix_``) and returns its values on the whole product grid.  After the
+    full scan, round k scans ``count`` points per axis, plus the incumbent, on
+    a window of ``shrink**k`` times the axis span centred on the incumbent; a
+    candidate replaces the incumbent only when it is strictly larger.
+
+    Returns ``(value, point, evaluations)``: the incumbent value, its
+    coordinates and the number of grid points scanned.
     """
-    a = center - width / 2.0
-    b = center + width / 2.0
-    if lo is not None:
-        a = max(a, lo)
-    if hi is not None:
-        b = min(b, hi)
-    pts = np.linspace(a, b, count)
-    return np.unique(np.append(pts, center))
+    grids = [np.linspace(lo, hi, n, endpoint=not periodic) for lo, hi, n, periodic in axes]
+    value, point, evals = _scan(objective, grids)
+    for k in range(1, rounds + 1):
+        grids = [_window(c, axis, shrink ** k) for c, axis in zip(point, axes)]
+        cand, cand_point, n = _scan(objective, grids)
+        evals += n
+        if cand > value:
+            value, point = cand, cand_point
+    return value, point, evals
+
+
+def tau_argmax(objective, n_tau1: int, n_r: int, n_theta: int, rounds: int = 0,
+               shrink: float = 0.35):
+    """:func:`grid_argmax` of ``objective(tau1, tau2)`` over tau1 in [0, 1] and
+    tau2 on a polar grid of the closed unit disk; the point comes back as
+    ``(tau1, |tau2|, arg tau2)``."""
+    axes = [(0.0, 1.0, n_tau1, False), (0.0, 1.0, n_r, False), (0.0, 2.0 * np.pi, n_theta, True)]
+    return grid_argmax(lambda t1, r, th: objective(t1, polar(r, th)), axes, rounds, shrink)
 
 
 def unit_direction(z: complex) -> complex:

@@ -28,6 +28,8 @@ COEFF_BOUND_TOL = 1e-9
 __all__ = [
     "CaratheodoryPoint",
     "SchwarzCoeffs",
+    "c12",
+    "c3_parts",
     "coeffs_from_point",
     "extremal_p_series",
     "schwarz_from_p",
@@ -92,15 +94,26 @@ class SchwarzCoeffs:
                 raise ValueError(f"|{name}| must be <= 2, got {val!r}")
 
 
+def c12(t1, tau2):
+    """``(c1, c2)`` of the parameter map, elementwise and unvalidated: exact
+    over rationals, broadcasting over numpy arrays."""
+    u = 1 - t1 * t1
+    return 2 * t1, 2 * t1 * t1 + 2 * u * tau2
+
+
+def c3_parts(t1, tau2):
+    """``(head, w)`` with ``c3 = head + w tau3`` and real ``w >= 0``;
+    elementwise and unvalidated, like :func:`c12`."""
+    u = 1 - t1 * t1
+    head = 2 * t1 ** 3 + 4 * u * t1 * tau2 - 2 * u * t1 * tau2 * tau2
+    return head, 2 * u * (1 - mag_squared(tau2))
+
+
 def coeffs_from_point(pt: CaratheodoryPoint) -> SchwarzCoeffs:
     """Map a parameter triple to (c1, c2, c3); exact over rational inputs."""
-    t1, t2, t3 = pt.tau1, pt.tau2, pt.tau3
-    u = 1 - t1 * t1
-    c1 = 2 * t1
-    c2 = 2 * t1 * t1 + 2 * u * t2
-    c3 = 2 * t1 ** 3 + 4 * u * t1 * t2 - 2 * u * t1 * t2 * t2 \
-        + 2 * u * (1 - mag_squared(t2)) * t3
-    return SchwarzCoeffs(c1, c2, c3)
+    c1, c2 = c12(pt.tau1, pt.tau2)
+    head, w = c3_parts(pt.tau1, pt.tau2)
+    return SchwarzCoeffs(c1, c2, head + w * pt.tau3)
 
 
 def _on_circle(x) -> bool:

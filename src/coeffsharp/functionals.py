@@ -48,9 +48,12 @@ __all__ = [
     "gamma_from_a",
     "inverse_from_a",
     "hankel_log",
+    "hankel_tau_parts",
     "hankel_log_tau",
     "hankel_log_inverse",
     "hankel_inverse_tau",
+    "diff_gamma_c",
+    "diff_Gamma_c",
     "moduli_diff_gamma",
     "moduli_diff_Gamma",
     "evaluate_functional",
@@ -155,16 +158,21 @@ def hankel_log(c: SchwarzCoeffs):
     return (-3 * c1 ** 4 - 8 * c1 * c1 * c2 - 48 * c2 * c2 + 64 * c1 * c3) / 3072
 
 
+def hankel_tau_parts(t1, tau2, quartic, quad):
+    """``(head, w)`` with ``192 * determinant = head + w tau3``, elementwise.
+
+    ``(quartic, quad)`` is ``(-3, 4)`` for the log determinant and ``(9, -20)``
+    for the inverse one; both share the real weight ``w >= 0``.
+    """
+    u = 1 - t1 * t1
+    head = quartic * t1 ** 4 + quad * t1 * t1 * tau2 * u - 4 * tau2 * tau2 * (3 + t1 * t1) * u
+    return head, 16 * t1 * u * (1 - mag_squared(tau2))
+
+
 def hankel_log_tau(pt: CaratheodoryPoint):
     """Same determinant evaluated directly on the parameter triple."""
-    t1, t2, t3 = pt.tau1, pt.tau2, pt.tau3
-    u = 1 - t1 * t1
-    return (
-        -3 * t1 ** 4
-        + 4 * t1 * t1 * t2 * u
-        - 4 * t2 * t2 * (3 + t1 * t1) * u
-        + 16 * t1 * t3 * u * (1 - mag_squared(t2))
-    ) / 192
+    head, w = hankel_tau_parts(pt.tau1, pt.tau2, -3, 4)
+    return (head + w * pt.tau3) / 192
 
 
 def hankel_log_inverse(c: SchwarzCoeffs):
@@ -175,26 +183,28 @@ def hankel_log_inverse(c: SchwarzCoeffs):
 
 def hankel_inverse_tau(pt: CaratheodoryPoint):
     """Inverse-coefficient determinant on the parameter triple."""
-    t1, t2, t3 = pt.tau1, pt.tau2, pt.tau3
-    u = 1 - t1 * t1
-    return (
-        9 * t1 ** 4
-        - 20 * t1 * t1 * t2 * u
-        - 4 * t2 * t2 * (3 + t1 * t1) * u
-        + 16 * t1 * t3 * u * (1 - mag_squared(t2))
-    ) / 192
+    head, w = hankel_tau_parts(pt.tau1, pt.tau2, 9, -20)
+    return (head + w * pt.tau3) / 192
+
+
+def diff_gamma_c(c1, c2):
+    """|-c1^2/32 + c2/8| - |c1/4|, elementwise on raw coefficients."""
+    return abs(-c1 * c1 / 32 + c2 / 8) - abs(c1) / 4
+
+
+def diff_Gamma_c(c1, c2):
+    """|5 c1^2/32 - c2/8| - |c1/4|, elementwise on raw coefficients."""
+    return abs(5 * c1 * c1 / 32 - c2 / 8) - abs(c1) / 4
 
 
 def moduli_diff_gamma(c: SchwarzCoeffs):
     """|gamma2| - |gamma1| = |-c1^2/32 + c2/8| - |c1/4|; real valued."""
-    c1, c2, _ = _need(c, 2)
-    return abs(-c1 * c1 / 32 + c2 / 8) - abs(c1) / 4
+    return diff_gamma_c(*_need(c, 2)[:2])
 
 
 def moduli_diff_Gamma(c: SchwarzCoeffs):
     """|Gamma2| - |Gamma1| = |5 c1^2/32 - c2/8| - |c1/4|; real valued."""
-    c1, c2, _ = _need(c, 2)
-    return abs(5 * c1 * c1 / 32 - c2 / 8) - abs(c1) / 4
+    return diff_Gamma_c(*_need(c, 2)[:2])
 
 
 def _filled(c: SchwarzCoeffs, count: int) -> SchwarzCoeffs:

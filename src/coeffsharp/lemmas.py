@@ -20,11 +20,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
 from numbers import Rational
 
 import numpy as np
 
-from ._search import golden_max, unit_direction, window_grid
+from ._search import golden_max, grid_argmax, polar, tau_argmax, unit_direction
+from .caratheodory import c12, c3_parts
 
 #: positive root of 101 t^4 + 148 t^2 - 60, where the fallback branch of the
 #: inverse-Hankel case analysis switches form (~0.575109).
@@ -108,15 +110,24 @@ def _y_pieces(A: float, B: float, C: float):
     return (c + a) * math.sqrt(1 - b * b / (4 * A * C)), "R.sqrt"
 
 
-def y_closed_form(yin: YInput) -> float:
-    """Closed-form maximum of |A + B z + C z^2| + 1 - |z|^2 over the disk."""
-    value, _ = _y_pieces(yin.A, yin.B, yin.C)
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"result is {value}, not finite: the inputs are too large")
     return value
+
+
+def y_closed_form(yin: YInput) -> float:
+    """Closed-form maximum of |A + B z + C z^2| + 1 - |z|^2 over the disk.
+
+    A maximum that overflows is rejected with ValueError, as in y_branch.
+    """
+    return _finite(_y_pieces(yin.A, yin.B, yin.C)[0])
 
 
 def y_branch(yin: YInput) -> str:
     """Label of the piecewise branch the closed form takes."""
-    _, branch = _y_pieces(yin.A, yin.B, yin.C)
+    value, branch = _y_pieces(yin.A, yin.B, yin.C)
+    _finite(value)
     return branch
 
 
@@ -130,21 +141,20 @@ def y_brute_force(yin: YInput, grid: int = 200) -> float:
         raise ValueError("grid must be >= 100 points per axis")
     A, B, C = yin.A, yin.B, yin.C
 
-    radii = np.linspace(0.0, 1.0, grid)
-    angles = np.linspace(0.0, 2.0 * np.pi, int(3.6 * grid), endpoint=False)
-    z = radii[:, None] * np.exp(1j * angles)[None, :]
-    vals = np.abs(A + B * z + C * z * z) + 1.0 - (radii * radii)[:, None]
-    flat = int(np.argmax(vals))
-    best = float(vals.flat[flat])
-    ir, ith = divmod(flat, angles.size)
-    r0, th0 = float(radii[ir]), float(angles[ith])
+    def grid_objective(r, th):
+        z = polar(r, th)
+        return np.abs(A + B * z + C * z * z) + 1.0 - r * r
+
+    n_angles = int(3.6 * grid)
+    axes = [(0.0, 1.0, grid, False), (0.0, 2.0 * np.pi, n_angles, True)]
+    best, (r0, th0), _ = grid_argmax(grid_objective, axes)
 
     def g(r, th):
         w = r * complex(math.cos(th), math.sin(th))
         return abs(A + B * w + C * w * w) + 1.0 - r * r
 
     dr = 2.0 / (grid - 1)
-    dth = 2.0 * (angles[1] - angles[0])
+    dth = 2.0 * (2.0 * np.pi / n_angles)
     for _ in range(3):
         th0 = golden_max(lambda t: g(r0, t), th0 - dth, th0 + dth)
         r0 = golden_max(lambda r: g(r, th0), max(0.0, r0 - dr), min(1.0, r0 + dr))
@@ -156,27 +166,19 @@ def lemma23_bound(v: float) -> float:
     if not math.isfinite(v):
         raise ValueError("v must be finite")
     if v < 0:
-        return -4 * v + 2
+        return _finite(-4 * v + 2)
     if v <= 1:
         return 2.0
-    return 4 * v - 2
-
-
-def _c12_grid(n_tau1: int, n_r: int, n_theta: int):
-    t1 = np.linspace(0.0, 1.0, n_tau1)
-    r = np.linspace(0.0, 1.0, n_r)
-    th = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    tau2 = (r[:, None] * np.exp(1j * th)[None, :]).ravel()
-    c1 = 2.0 * t1[:, None]
-    u = 1.0 - t1 * t1
-    c2 = (2.0 * t1 * t1)[:, None] + 2.0 * u[:, None] * tau2[None, :]
-    return c1, c2
+    return _finite(4 * v - 2)
 
 
 def lemma23_empirical(v: float, samples: int = 48) -> float:
     """Grid maximum of |c2 - v c1^2|; approaches lemma23_bound from below."""
-    c1, c2 = _c12_grid(samples, max(2, samples // 4), samples + samples % 2)
-    return float(np.abs(c2 - v * c1 * c1).max())
+    def objective(t1, tau2):
+        c1, c2 = c12(t1, tau2)
+        return np.abs(c2 - v * c1 * c1)
+
+    return tau_argmax(objective, samples, max(2, samples // 4), samples + samples % 2)[0]
 
 
 @dataclass(frozen=True)
@@ -188,12 +190,15 @@ class Lemma24Report:
 
 def _lemma24_parts(B, D, t1, tau2):
     """(head, w3) with c3 - 2B c1 c2 + D c1^3 = head + w3 tau3, elementwise."""
-    u = 1.0 - t1 * t1
-    c1 = 2.0 * t1
-    c2 = 2.0 * t1 * t1 + 2.0 * u * tau2
-    base3 = 2.0 * t1 ** 3 + 4.0 * u * t1 * tau2 - 2.0 * u * t1 * tau2 * tau2
-    w3 = 2.0 * u * (1.0 - (tau2.real ** 2 + tau2.imag ** 2))
-    return base3 - 2.0 * B * c1 * c2 + D * c1 ** 3, w3
+    c1, c2 = c12(t1, tau2)
+    head, w3 = c3_parts(t1, tau2)
+    return head - 2.0 * B * c1 * c2 + D * c1 ** 3, w3
+
+
+def _lemma24_sup(B, D, t1, tau2):
+    """Sup of |c3 - 2B c1 c2 + D c1^3| over the tau3 disk: |head| + w3."""
+    head, w3 = _lemma24_parts(B, D, t1, tau2)
+    return np.abs(head) + w3
 
 
 def lemma24_check(B: float, D: float, samples: int = 21) -> Lemma24Report:
@@ -211,33 +216,28 @@ def lemma24_check(B: float, D: float, samples: int = 21) -> Lemma24Report:
         raise ValueError("hypothesis violated: need 0 <= B <= 1")
     if not (B * (2 * B - 1) <= D <= B):
         raise ValueError("hypothesis violated: need B(2B - 1) <= D <= B")
-    t1 = np.linspace(0.0, 1.0, samples)[:, None]
-    r = np.linspace(0.0, 1.0, max(2, (samples + 2) // 3))
-    th = np.linspace(0.0, 2.0 * np.pi, 2 * samples, endpoint=False)
-    tau = (r[:, None] * np.exp(1j * th)[None, :]).ravel()[None, :]
-    head, w3 = _lemma24_parts(B, D, t1, tau)
-    vals = np.abs(head) + w3
-    i1, i2 = divmod(int(np.argmax(vals)), tau.size)
-    best = float(vals[i1, i2])
-    where = (float(t1[i1, 0]), complex(tau[0, i2]), unit_direction(complex(head[i1, i2])))
-    return Lemma24Report(best, best <= 2.0 + 1e-9, where)
+    best, (t1, r, th), _ = tau_argmax(partial(_lemma24_sup, B, D), samples,
+                                      max(2, (samples + 2) // 3), 2 * samples)
+    tau2 = complex(polar(r, th))
+    head, _ = _lemma24_parts(B, D, np.array([t1]), np.array([tau2]))
+    return Lemma24Report(best, best <= 2.0 + 1e-9, (t1, tau2, unit_direction(complex(head[0]))))
 
 
 def psi_plus_bound(pin: PsiInput) -> float:
     """Sharp upper bound for |B2 c1^2 + B3 c2| - |B1 c1|."""
     if abs(2 * pin.B2 + pin.B3) >= abs(pin.B3) + pin.B1:
-        return pin.B4 - 2 * pin.B1
-    return 2 * abs(pin.B3)
+        return _finite(pin.B4 - 2 * pin.B1)
+    return _finite(2 * abs(pin.B3))
 
 
 def psi_minus_bound(pin: PsiInput) -> float:
     """Sharp upper bound for the negated functional (so a lower bound)."""
     b1, b3, b4 = pin.B1, abs(pin.B3), pin.B4
     if b1 >= b4 + 2 * b3:
-        return 2 * b1 - b4
+        return _finite(2 * b1 - b4)
     if b1 * b1 <= 2 * b3 * (b4 + 2 * b3):
-        return 2 * b1 * math.sqrt(2 * b3 / (b4 + 2 * b3))
-    return 2 * b3 + b1 * b1 / (b4 + 2 * b3)
+        return _finite(2 * b1 * math.sqrt(2 * b3 / (b4 + 2 * b3)))
+    return _finite(2 * b3 + b1 * b1 / (b4 + 2 * b3))
 
 
 def psi_empirical(pin: PsiInput, n_tau1: int = 121, n_r: int = 9,
@@ -249,42 +249,13 @@ def psi_empirical(pin: PsiInput, n_tau1: int = 121, n_r: int = 9,
     """
     B1, B2, B3 = pin.B1, pin.B2, pin.B3
 
-    def scan(t1s, rs, ths):
-        tau2 = (rs[:, None] * np.exp(1j * ths)[None, :]).ravel()
-        c1 = 2.0 * t1s[:, None]
-        u = 1.0 - t1s * t1s
-        c2 = (2.0 * t1s * t1s)[:, None] + 2.0 * u[:, None] * tau2[None, :]
-        vals = np.abs(B2 * c1 * c1 + B3 * c2) - B1 * np.abs(c1)
-        lo_flat = int(np.argmin(vals))
-        hi_flat = int(np.argmax(vals))
-        nr, nth = rs.size, ths.size
+    def value(t1, tau2):
+        c1, c2 = c12(t1, tau2)
+        return np.abs(B2 * c1 * c1 + B3 * c2) - B1 * np.abs(c1)
 
-        def coords(flat):
-            i1, i2 = divmod(flat, tau2.size)
-            ir, ith = divmod(i2, nth)
-            return float(t1s[i1]), float(rs[ir]), float(ths[ith])
-
-        return (float(vals.flat[lo_flat]), coords(lo_flat)), \
-               (float(vals.flat[hi_flat]), coords(hi_flat))
-
-    t1s = np.linspace(0.0, 1.0, n_tau1)
-    rs = np.linspace(0.0, 1.0, n_r)
-    ths = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    (vmin, cmin), (vmax, cmax) = scan(t1s, rs, ths)
-    for k in range(1, rounds + 1):
-        w = shrink ** k
-        for which in ("min", "max"):
-            center = cmin if which == "min" else cmax
-            axes = (
-                window_grid(center[0], w, n_tau1, 0.0, 1.0),
-                window_grid(center[1], w, n_r, 0.0, 1.0),
-                window_grid(center[2], 2 * np.pi * w, n_theta),
-            )
-            (lo, clo), (hi, chi) = scan(*axes)
-            if which == "min" and lo < vmin:
-                vmin, cmin = lo, clo
-            if which == "max" and hi > vmax:
-                vmax, cmax = hi, chi
+    grid = (n_tau1, n_r, n_theta, rounds, shrink)
+    vmax = tau_argmax(value, *grid)[0]
+    vmin = -tau_argmax(lambda t1, tau2: -value(t1, tau2), *grid)[0]
     return vmin, vmax
 
 

@@ -1,19 +1,20 @@
 """Deterministic global search certifying each sharp bound.
 
-Every target is searched over (tau1, |tau2|, arg tau2) -- with the
-dimensions its functional does not read pinned to 0 -- by one full grid
-scan followed by rescans of a shrinking window around the incumbent.
-Radius grids always contain r = 1 and angle grids always contain 0, so
+``THEOREMS`` holds one :class:`Theorem` per bound (functional, sharp
+constant and direction, exact witness, search objective); ``verify``,
+``objective_slice`` and ``sharpness_witness`` read nothing else.  Each
+target is searched by ``_search.grid_argmax`` over (tau1, |tau2|, arg tau2),
+or tau1 alone: one full grid scan, then rescans of a shrinking window around
+the incumbent.  Radius grids always contain r = 1 and angle grids 0, so
 boundary extrema are exact grid members.
 
 The three-parameter functionals are affine in tau3 with a real weight,
 ``|head(tau1, tau2) + w(tau1, tau2) tau3|``, so their supremum over the
-closed disk is ``|head| + |w|``, attained at ``tau3 = head/|head|`` (any
-unimodular tau3 when head = 0; 1 is reported).  tau3 is therefore
-eliminated in closed form rather than scanned, and ``evaluations`` counts
-(tau1, tau2) points for every target.  ``objective_slice`` still evaluates
-the affine form on an explicit tau3 grid, as the brute-force oracle of that
-reduction.  Scans are pure and deterministic.
+closed disk is ``|head| + |w|``, attained at ``tau3 = head/|head|`` (1 when
+head = 0).  tau3 is eliminated in closed form rather than scanned, and
+``evaluations`` counts (tau1, tau2) points.  ``objective_slice`` still
+evaluates the affine form on an explicit tau3 grid, as the brute-force
+oracle of that reduction.  Scans are pure and deterministic.
 """
 
 from __future__ import annotations
@@ -21,30 +22,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
-from ._search import unit_direction, window_grid
-from .caratheodory import CaratheodoryPoint, coeffs_from_point
-from .functionals import FunctionalValue, evaluate_functional
-
-THEOREM_IDS = (
-    "gamma1",
-    "gamma2",
-    "gamma3",
-    "H21_log",
-    "Gamma1",
-    "Gamma2",
-    "H21_inverse",
-    "diff_gamma_upper",
-    "diff_gamma_lower",
-    "diff_Gamma_upper",
-    "diff_Gamma_lower",
+from ._search import grid_argmax, tau_argmax, unit_direction
+from .caratheodory import CaratheodoryPoint, c12, c3_parts, coeffs_from_point
+from .functionals import (
+    FunctionalValue,
+    diff_gamma_c,
+    diff_Gamma_c,
+    evaluate_functional,
+    hankel_tau_parts,
 )
 
 __all__ = [
+    "THEOREMS",
     "THEOREM_IDS",
     "Bound",
+    "Theorem",
     "SearchConfig",
     "VerificationReport",
     "objective_slice",
@@ -99,85 +95,126 @@ class VerificationReport:
     passed: bool
 
 
+@dataclass(frozen=True)
+class Theorem:
+    """One sharp bound and everything needed to certify it."""
+
+    id: str
+    functional: str  # the evaluate_functional name it bounds
+    bound: Bound
+    witness: tuple  # extremal (tau1, tau2, tau3)
+    dims: int  # 1, 2 or 3 active tau parameters
+    objective: Callable  # value on (tau1[, tau2]); dims 3: its sup over tau3
+    parts: Callable | None = None  # dims 3: (head, w, scale) of |head + w tau3| scale
+
+    @property
+    def sign(self) -> float:  # the search maximizes sign * objective
+        return 1.0 if self.bound.direction == "max" else -1.0
+
+    def maximized(self, *args):
+        return self.objective(*args) if self.sign > 0 else -self.objective(*args)
+
+
 # --- vectorized objectives -------------------------------------------------
-# Each objective returns the quantity being MAXIMIZED (minimum targets are
-# searched on the negated signed value).  tau2/tau3 enter as flat complex
-# grids; tau1 broadcasts as a column.  The three-parameter functionals are
-# affine in tau3 with a real weight, so they are described by
-# (head(tau1, tau2), weight(tau1, tau2), scale): the objective matrix is
-# |head + weight * tau3| * scale and its sup over the disk is
-# (|head| + |weight|) * scale.
-
-def _c12(t1, tau2):
-    c1 = 2.0 * t1
-    u = 1.0 - t1 * t1
-    c2 = 2.0 * t1 * t1 + 2.0 * u * tau2
-    return c1, c2, u
-
+# tau2 enters as a complex grid and tau1 broadcasts against it.
 
 def _obj_gamma1(t1):
     return np.abs(2.0 * t1) / 4.0
 
 
 def _obj_gamma2(t1, tau2):
-    c1, c2, _ = _c12(t1, tau2)
+    c1, c2 = c12(t1, tau2)
     return np.abs(c2 - c1 * c1 / 4.0) / 8.0
 
 
 def _obj_Gamma2(t1, tau2):
-    c1, c2, _ = _c12(t1, tau2)
+    c1, c2 = c12(t1, tau2)
     return np.abs(c2 - 1.25 * c1 * c1) / 8.0
 
 
-def _obj_diff_gamma(t1, tau2, sign):
-    c1, c2, _ = _c12(t1, tau2)
-    return sign * (np.abs(-c1 * c1 / 32.0 + c2 / 8.0) - np.abs(c1) / 4.0)
-
-
-def _obj_diff_Gamma(t1, tau2, sign):
-    c1, c2, _ = _c12(t1, tau2)
-    return sign * (np.abs(5.0 * c1 * c1 / 32.0 - c2 / 8.0) - np.abs(c1) / 4.0)
-
-
-def _tau3_weight(t1, tau2):
-    return 1.0 - (tau2.real ** 2 + tau2.imag ** 2)
+def _of_c12(form):
+    """A raw (c1, c2) form as an objective on (tau1, tau2)."""
+    return lambda t1, tau2: form(*c12(t1, tau2))
 
 
 def _parts_gamma3(t1, tau2):
-    c1, c2, u = _c12(t1, tau2)
-    base3 = 2.0 * t1 ** 3 + 4.0 * u * t1 * tau2 - 2.0 * u * t1 * tau2 * tau2
-    return base3 - c1 * c2 / 2.0, 2.0 * u * _tau3_weight(t1, tau2), 1.0 / 12.0
-
-
-def _hankel_head(t1, tau2, quartic, quad_tau2):
-    u = 1.0 - t1 * t1
-    return (
-        quartic * t1 ** 4
-        + quad_tau2 * t1 * t1 * tau2 * u
-        - 4.0 * tau2 * tau2 * (3.0 + t1 * t1) * u
-    )
+    c1, c2 = c12(t1, tau2)
+    head, w = c3_parts(t1, tau2)
+    return head - c1 * c2 / 2.0, w, 1.0 / 12.0
 
 
 def _parts_h21_log(t1, tau2):
-    w = 16.0 * t1 * (1.0 - t1 * t1) * _tau3_weight(t1, tau2)
-    return _hankel_head(t1, tau2, -3.0, 4.0), w, 1.0 / 192.0
+    return (*hankel_tau_parts(t1, tau2, -3, 4), 1.0 / 192.0)
 
 
 def _parts_h21_inverse(t1, tau2):
-    w = 16.0 * t1 * (1.0 - t1 * t1) * _tau3_weight(t1, tau2)
-    return _hankel_head(t1, tau2, 9.0, -20.0), w, 1.0 / 192.0
+    return (*hankel_tau_parts(t1, tau2, 9, -20), 1.0 / 192.0)
 
 
-def _affine_matrix(parts, t1, tau2, tau3):
-    head, w, scale = parts(float(t1), np.asarray(tau2, dtype=complex))
+def _affine(theorem_id, functional, bound, witness, parts) -> Theorem:
+    def tau3_sup(t1, tau2):
+        head, w, scale = parts(t1, tau2)
+        return (np.abs(head) + np.abs(w)) * scale
+    return Theorem(theorem_id, functional, bound, witness, 3, tau3_sup, parts)
+
+
+_F0, _F1 = Fraction(0), Fraction(1)
+
+# |Gamma1| = |gamma1| = |c1|/4, but the two theorems are reported separately.
+THEOREMS = {th.id: th for th in (
+    Theorem("gamma1", "gamma1", Bound("1/2", 0.5, "max"), (_F1, _F0, _F0), 1, _obj_gamma1),
+    Theorem("gamma2", "gamma2", Bound("1/4", 0.25, "max"), (_F0, _F1, _F0), 2, _obj_gamma2),
+    _affine("gamma3", "gamma3", Bound("1/6", 1.0 / 6.0, "max"), (_F0, _F0, _F1), _parts_gamma3),
+    _affine("H21_log", "H21_log", Bound("1/16", 0.0625, "max"), (_F0, _F1, _F0), _parts_h21_log),
+    Theorem("Gamma1", "Gamma1", Bound("1/2", 0.5, "max"), (_F1, _F0, _F0), 1, _obj_gamma1),
+    Theorem("Gamma2", "Gamma2", Bound("3/8", 0.375, "max"), (_F1, _F0, _F0), 2, _obj_Gamma2),
+    _affine("H21_inverse", "H21_log_inverse", Bound("3/44", 3.0 / 44.0, "max"),
+            (math.sqrt(2.0 / 11.0), 1.0, 1.0), _parts_h21_inverse),
+    Theorem("diff_gamma_upper", "diff_gamma", Bound("1/4", 0.25, "max"),
+            (_F0, _F1, _F0), 2, _of_c12(diff_gamma_c)),
+    Theorem("diff_gamma_lower", "diff_gamma",
+            Bound("-1/sqrt(6)", -1.0 / math.sqrt(6.0), "min"),
+            (math.sqrt(2.0 / 3.0), -1.0, 0.0), 2, _of_c12(diff_gamma_c)),
+    Theorem("diff_Gamma_upper", "diff_Gamma", Bound("1/4", 0.25, "max"),
+            (_F0, _F1, _F0), 2, _of_c12(diff_Gamma_c)),
+    Theorem("diff_Gamma_lower", "diff_Gamma",
+            Bound("-1/sqrt(10)", -1.0 / math.sqrt(10.0), "min"),
+            (math.sqrt(2.0 / 5.0), 1.0, 0.0), 2, _of_c12(diff_Gamma_c)),
+)}
+
+THEOREM_IDS = tuple(THEOREMS)
+
+
+def _theorem(theorem_id: str) -> Theorem:
+    if theorem_id not in THEOREMS:
+        raise ValueError(f"unknown theorem id {theorem_id!r}")
+    return THEOREMS[theorem_id]
+
+
+def objective_slice(theorem_id: str, t1: float, tau2: np.ndarray | None = None,
+                    tau3: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate one target's maximized search objective on a tau1 slice.
+
+    For three-parameter targets pass flat complex ``tau2`` and ``tau3`` grids
+    and get the (len(tau2), len(tau3)) objective matrix, or omit ``tau3`` to
+    get the closed-form sup over the closed tau3 disk that the search scans;
+    two-parameter targets ignore ``tau3``; one-parameter targets ignore both.
+    Infimum targets come back negated, as the search maximizes them.
+    """
+    th = _theorem(theorem_id)
+    if th.dims == 1:
+        return np.asarray(th.maximized(np.asarray(t1, dtype=float)))
+    if th.dims == 2 or tau3 is None:
+        return np.asarray(th.maximized(float(t1), np.asarray(tau2)))
+    head, w, scale = th.parts(float(t1), np.asarray(tau2, dtype=complex))
     return np.abs(head[:, None] + w[:, None] * np.asarray(tau3)[None, :]) * scale
 
 
-def _tau3_sup(parts):
-    def objective(t1, tau2):
-        head, w, scale = parts(t1, tau2)
-        return (np.abs(head) + np.abs(w)) * scale
-    return objective
+def _search(th: Theorem, cfg: SearchConfig):
+    rounds, shrink = cfg.refinement_rounds, cfg.shrink_factor
+    if th.dims == 1:
+        return grid_argmax(th.maximized, [(0.0, 1.0, cfg.grid_tau1, False)], rounds, shrink)
+    return tau_argmax(th.maximized, cfg.grid_tau1, cfg.grid_r, cfg.grid_theta, rounds, shrink)
 
 
 def _maximizing_tau3(parts, t1: float, tau2: complex) -> complex:
@@ -185,120 +222,11 @@ def _maximizing_tau3(parts, t1: float, tau2: complex) -> complex:
     return unit_direction(complex(head[0]))
 
 
-@dataclass(frozen=True)
-class _Target:
-    dims: int  # 1, 2 or 3 active tau parameters
-    sign: float  # +1 maximize, -1 minimize the signed value
-    bound: Bound
-    objective: object  # the maximized array; tau3 already eliminated for dims 3
-    parts: object = None  # dims 3: (head, weight, scale) of the affine tau3 form
-
-
-def _affine_target(bound: Bound, parts) -> _Target:
-    return _Target(3, 1.0, bound, _tau3_sup(parts), parts)
-
-
-_SQRT6 = math.sqrt(6.0)
-_SQRT10 = math.sqrt(10.0)
-
-_TARGETS = {
-    "gamma1": _Target(1, 1.0, Bound("1/2", 0.5, "max"), _obj_gamma1),
-    "gamma2": _Target(2, 1.0, Bound("1/4", 0.25, "max"), _obj_gamma2),
-    "gamma3": _affine_target(Bound("1/6", 1.0 / 6.0, "max"), _parts_gamma3),
-    "H21_log": _affine_target(Bound("1/16", 0.0625, "max"), _parts_h21_log),
-    "Gamma1": _Target(1, 1.0, Bound("1/2", 0.5, "max"), _obj_gamma1),
-    "Gamma2": _Target(2, 1.0, Bound("3/8", 0.375, "max"), _obj_Gamma2),
-    "H21_inverse": _affine_target(Bound("3/44", 3.0 / 44.0, "max"), _parts_h21_inverse),
-    "diff_gamma_upper": _Target(2, 1.0, Bound("1/4", 0.25, "max"),
-                                lambda t1, tau2: _obj_diff_gamma(t1, tau2, 1.0)),
-    "diff_gamma_lower": _Target(2, -1.0, Bound("-1/sqrt(6)", -1.0 / _SQRT6, "min"),
-                                lambda t1, tau2: _obj_diff_gamma(t1, tau2, -1.0)),
-    "diff_Gamma_upper": _Target(2, 1.0, Bound("1/4", 0.25, "max"),
-                                lambda t1, tau2: _obj_diff_Gamma(t1, tau2, 1.0)),
-    "diff_Gamma_lower": _Target(2, -1.0, Bound("-1/sqrt(10)", -1.0 / _SQRT10, "min"),
-                                lambda t1, tau2: _obj_diff_Gamma(t1, tau2, -1.0)),
-}
-
-# |Gamma1| = |gamma1| = |c1|/4, but the two theorems are reported separately.
-
-
-def objective_slice(theorem_id: str, t1: float, tau2: np.ndarray | None = None,
-                    tau3: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate one target's search objective on a tau1 slice.
-
-    For three-parameter targets pass flat complex ``tau2`` and ``tau3`` grids
-    and get the (len(tau2), len(tau3)) objective matrix, or omit ``tau3`` to
-    get the closed-form sup over the closed tau3 disk that the search scans;
-    two-parameter targets ignore ``tau3``; one-parameter targets ignore both.
-    """
-    target = _TARGETS[theorem_id]
-    if target.dims == 1:
-        return np.asarray(target.objective(np.asarray(t1, dtype=float)))
-    if target.dims == 2 or tau3 is None:
-        return np.asarray(target.objective(float(t1), np.asarray(tau2)))
-    return _affine_matrix(target.parts, t1, tau2, tau3)
-
-
-def _polar(rs, ths):
-    return (rs[:, None] * np.exp(1j * ths)[None, :]).ravel()
-
-
-@dataclass
-class _Incumbent:
-    value: float
-    t1: float
-    r2: float
-    th2: float
-
-
-def _scan1(obj, t1s):
-    vals = obj(t1s)
-    i = int(np.argmax(vals))
-    return _Incumbent(float(vals[i]), float(t1s[i]), 0.0, 0.0), vals.size
-
-
-def _scan2(obj, t1s, rs, ths):
-    tau2 = _polar(rs, ths)
-    vals = obj(t1s[:, None], tau2[None, :])
-    flat = int(np.argmax(vals))
-    i1, i2 = divmod(flat, tau2.size)
-    ir, ith = divmod(i2, ths.size)
-    inc = _Incumbent(float(vals.flat[flat]), float(t1s[i1]), float(rs[ir]), float(ths[ith]))
-    return inc, vals.size
-
-
-def _initial_axes(cfg: SearchConfig, dims: int):
-    t1s = np.linspace(0.0, 1.0, cfg.grid_tau1)
-    rs = np.linspace(0.0, 1.0, cfg.grid_r)
-    ths = np.linspace(0.0, 2.0 * np.pi, cfg.grid_theta, endpoint=False)
-    return (t1s,) if dims == 1 else (t1s, rs, ths)
-
-
-def _refined_axes(inc: _Incumbent, cfg: SearchConfig, round_no: int, dims: int):
-    w = cfg.shrink_factor ** round_no
-    t1s = window_grid(inc.t1, w, cfg.grid_tau1, 0.0, 1.0)
-    if dims == 1:
-        return (t1s,)
-    rs2 = window_grid(inc.r2, w, cfg.grid_r, 0.0, 1.0)
-    ths2 = window_grid(inc.th2, 2.0 * np.pi * w, cfg.grid_theta)
-    return t1s, rs2, ths2
-
-
-def _search(target: _Target, cfg: SearchConfig):
-    scan = _scan1 if target.dims == 1 else _scan2
-    incumbent, evals = scan(target.objective, *_initial_axes(cfg, target.dims))
-    for k in range(1, cfg.refinement_rounds + 1):
-        cand, n = scan(target.objective, *_refined_axes(incumbent, cfg, k, target.dims))
-        evals += n
-        if cand.value > incumbent.value:
-            incumbent = cand
-    return incumbent, evals
-
-
-def _point_of(target: _Target, inc: _Incumbent) -> CaratheodoryPoint:
-    tau2 = inc.r2 * complex(math.cos(inc.th2), math.sin(inc.th2))
-    tau3 = 0j if target.parts is None else _maximizing_tau3(target.parts, inc.t1, tau2)
-    return CaratheodoryPoint(inc.t1, tau2, tau3)
+def _maximizer(th: Theorem, point: tuple) -> CaratheodoryPoint:
+    t1, r, theta = point if th.dims > 1 else (point[0], 0.0, 0.0)
+    tau2 = r * complex(math.cos(theta), math.sin(theta))
+    tau3 = 0j if th.parts is None else _maximizing_tau3(th.parts, t1, tau2)
+    return CaratheodoryPoint(t1, tau2, tau3)
 
 
 def verify(theorem_id: str, cfg: SearchConfig = SearchConfig()) -> VerificationReport:
@@ -306,24 +234,18 @@ def verify(theorem_id: str, cfg: SearchConfig = SearchConfig()) -> VerificationR
 
     An exceeded bound comes back as a failed report, never an exception.
     """
-    if theorem_id not in _TARGETS:
-        raise ValueError(f"unknown theorem id {theorem_id!r}")
-    target = _TARGETS[theorem_id]
-    incumbent, evals = _search(target, cfg)
-    empirical = target.sign * incumbent.value
-    if target.bound.direction == "max":
-        gap = target.bound.value - empirical
-    else:
-        gap = empirical - target.bound.value
-    passed = -cfg.tolerance_exceed <= gap <= cfg.tolerance_attain
+    th = _theorem(theorem_id)
+    value, point, evals = _search(th, cfg)
+    empirical = th.sign * value
+    gap = th.sign * (th.bound.value - empirical)
     return VerificationReport(
         theorem_id=theorem_id,
-        bound=target.bound,
+        bound=th.bound,
         empirical_extremum=empirical,
-        maximizer=_point_of(target, incumbent),
+        maximizer=_maximizer(th, point),
         gap=gap,
         evaluations=evals,
-        passed=passed,
+        passed=-cfg.tolerance_exceed <= gap <= cfg.tolerance_attain,
     )
 
 
@@ -332,33 +254,12 @@ def verify_all(cfg: SearchConfig = SearchConfig()) -> list[VerificationReport]:
     return [verify(theorem_id, cfg) for theorem_id in THEOREM_IDS]
 
 
-# --- sharpness witnesses ----------------------------------------------------
-
-_F0, _F1 = Fraction(0), Fraction(1)
-_WITNESS = {
-    "gamma1": ("gamma1", (_F1, _F0, _F0)),
-    "gamma2": ("gamma2", (_F0, _F1, _F0)),
-    "gamma3": ("gamma3", (_F0, _F0, _F1)),
-    "H21_log": ("H21_log", (_F0, _F1, _F0)),
-    "Gamma1": ("Gamma1", (_F1, _F0, _F0)),
-    "Gamma2": ("Gamma2", (_F1, _F0, _F0)),
-    "H21_inverse": ("H21_log_inverse", (math.sqrt(2.0 / 11.0), 1.0, 1.0)),
-    "diff_gamma_upper": ("diff_gamma", (_F0, _F1, _F0)),
-    "diff_gamma_lower": ("diff_gamma", (math.sqrt(2.0 / 3.0), -1.0, 0.0)),
-    "diff_Gamma_upper": ("diff_Gamma", (_F0, _F1, _F0)),
-    "diff_Gamma_lower": ("diff_Gamma", (math.sqrt(2.0 / 5.0), 1.0, 0.0)),
-}
-
-
 def sharpness_witness(theorem_id: str) -> tuple[CaratheodoryPoint, FunctionalValue]:
     """The exact extremal parameter triple of a target and its value there.
 
     Witnesses with rational coordinates evaluate exactly; the surd-coordinate
     ones land within float rounding of their algebraic constants.
     """
-    if theorem_id not in _WITNESS:
-        raise ValueError(f"unknown theorem id {theorem_id!r}")
-    functional, taus = _WITNESS[theorem_id]
-    pt = CaratheodoryPoint(*taus)
-    value = evaluate_functional(functional, coeffs_from_point(pt))
-    return pt, value
+    th = _theorem(theorem_id)
+    pt = CaratheodoryPoint(*th.witness)
+    return pt, evaluate_functional(th.functional, coeffs_from_point(pt))

@@ -9,6 +9,8 @@ import pytest
 from coeffsharp.caratheodory import (
     CaratheodoryPoint,
     SchwarzCoeffs,
+    c3_parts,
+    c12,
     coeffs_from_point,
     extremal_p_series,
     schwarz_from_p,
@@ -86,6 +88,35 @@ def test_coeffs_at_inverse_hankel_witness():
     assert c.c1 == pytest.approx(2 * t, abs=1e-15)
     assert c.c2 == pytest.approx(2.0, abs=1e-15)
     assert c.c3 == pytest.approx(2 * t, abs=1e-14)
+
+
+def written_out_c(t1, t2, t3):
+    """c1..c3 of the parameter map, written out as in the module docstring."""
+    return (
+        2 * t1,
+        2 * t1 ** 2 + 2 * (1 - t1 ** 2) * t2,
+        2 * t1 ** 3 + 4 * (1 - t1 ** 2) * t1 * t2 - 2 * (1 - t1 ** 2) * t1 * t2 ** 2
+        + 2 * (1 - t1 ** 2) * (1 - abs(t2) ** 2) * t3,
+    )
+
+
+def test_raw_map_matches_written_out_formulas():
+    # exact over rationals
+    for t1, t2, t3 in ((F(1, 3), F(-2, 5), F(3, 7)), (F(0), F(1), F(1, 2)),
+                       (F(1), F(-1), F(-1))):
+        c1, c2 = c12(t1, t2)
+        head, w = c3_parts(t1, t2)
+        assert (c1, c2, head + w * t3) == written_out_c(t1, t2, t3)
+    # elementwise over complex arrays, with a real weight w >= 0
+    rng = np.random.default_rng(12)
+    t1 = rng.uniform(0.0, 1.0, (50, 1))
+    t2 = np.sqrt(rng.uniform(0.0, 1.0, 40)) * np.exp(1j * rng.uniform(0, 2 * np.pi, 40))
+    t3 = np.sqrt(rng.uniform(0.0, 1.0, 40)) * np.exp(1j * rng.uniform(0, 2 * np.pi, 40))
+    c1, c2 = c12(t1, t2)
+    head, w = c3_parts(t1, t2)
+    assert np.isrealobj(w) and (w >= 0).all()
+    for got, want in zip((c1, c2, head + w * t3), written_out_c(t1, t2, t3)):
+        assert np.abs(got - want).max() <= 1e-14
 
 
 def test_range_check_100k_samples():

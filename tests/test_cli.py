@@ -174,6 +174,19 @@ def test_lemma_l41_rejects_non_finite(capsys, bad):
             assert code == 2 and out == "" and "finite" in err, (side, params)
 
 
+@pytest.mark.parametrize("argv", [
+    ("Y", "1e308", "1e308", "1e308"),
+    ("L23", "1e308", "--oracle"),
+    ("L23", "--", "-1e308"),
+    ("L41", "plus", "1e308", "1e308", "1e308"),
+    ("L41", "minus", "1e308", "1e308", "1e308"),
+])
+def test_lemma_rejects_overflowing_results(capsys, argv):
+    # finite inputs whose closed form overflows to inf or nan
+    code, out, err = run(capsys, "lemma", *argv)
+    assert code == 2 and out == "" and "finite" in err
+
+
 def test_manifest_refuses_non_finite_json(tmp_path):
     from coeffsharp.cli import _write_manifest
 

@@ -23,7 +23,7 @@ from coeffsharp.lemmas import (
     y_branch,
     y_brute_force,
     y_closed_form,
-    _lemma24_parts,
+    _lemma24_sup,
 )
 
 # one exemplar per branch of the disk maximum, all double checked against the
@@ -140,6 +140,22 @@ def test_lemma23_bound_values():
         lemma23_bound(float("nan"))
 
 
+def test_overflowing_results_are_rejected():
+    huge = YInput(1e308, 1e308, 1e308)
+    for fn in (y_closed_form, y_branch):
+        with pytest.raises(ValueError, match="finite"):
+            fn(huge)
+    for v in (1e308, -1e308):
+        with pytest.raises(ValueError, match="finite"):
+            lemma23_bound(v)
+    for weights, fn in (((1e308, 1e308, 1e308), psi_plus_bound),
+                        ((1e308, 0.0, 1e308), psi_plus_bound),
+                        ((1e308, 1e308, 1e308), psi_minus_bound),
+                        ((1e308, 0.0, 0.0), psi_minus_bound)):
+        with pytest.raises(ValueError, match="finite"):
+            fn(PsiInput(*weights))
+
+
 @pytest.mark.parametrize("v", [0.25, 1.25, 0.5, -0.5, 2.0])
 def test_lemma23_empirical_approaches_bound(v):
     emp = lemma23_empirical(v)
@@ -209,8 +225,8 @@ def test_lemma24_tau3_sup_matches_dense_tau3_scan():
         t1 = float(rng.uniform(0.0, 1.0))
         tau2 = complex(math.sqrt(rng.uniform(0.0, 1.0))
                        * np.exp(1j * rng.uniform(0.0, 2 * np.pi)))
-        head, w3 = _lemma24_parts(B, D, t1, np.array([tau2]))
-        reduced = float(abs(head[0]) + w3[0])
+        # the same function lemma24_check scans
+        reduced = float(_lemma24_sup(B, D, t1, np.array([tau2]))[0])
         brute = float(lemma24_dense(B, D, t1, tau2).max())
         assert reduced >= brute - 1e-12, (B, D, t1, tau2)
         assert reduced - brute <= reduced * L24_GRID_SLACK + 1e-12, (B, D, t1, tau2)

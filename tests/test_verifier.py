@@ -1,18 +1,20 @@
 """Grid search: witnesses, soundness on coarse grids, determinism, slices."""
 
 import math
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coeffsharp.caratheodory import CaratheodoryPoint
+from coeffsharp.caratheodory import CaratheodoryPoint, coeffs_from_point
 from coeffsharp.functionals import evaluate_functional, hankel_inverse_tau
 from coeffsharp.lemmas import TAU_SPLIT, case_scalar_functions
 from coeffsharp.verifier import (
     THEOREM_IDS,
+    THEOREMS,
     SearchConfig,
-    _TARGETS,
     _maximizing_tau3,
     objective_slice,
     sharpness_witness,
@@ -114,7 +116,7 @@ def test_tau3_sup_matches_dense_tau3_scan(theorem_id):
 
 @pytest.mark.parametrize("theorem_id,functional", sorted(THREE_PARAM.items()))
 def test_maximizing_tau3_attains_the_sup(theorem_id, functional):
-    parts = _TARGETS[theorem_id].parts
+    parts = THEOREMS[theorem_id].parts
     for t1, tau2 in random_t1_tau2(6):
         tau3 = _maximizing_tau3(parts, t1, tau2)
         assert abs(abs(tau3) - 1.0) <= 1e-12
@@ -211,28 +213,48 @@ def test_inverse_hankel_slice_matches_scalar_profile():
         assert abs(got - also) <= 1e-12
 
 
-def test_objective_slice_matches_scalar_functionals():
-    from coeffsharp.caratheodory import CaratheodoryPoint, coeffs_from_point
-    from coeffsharp.functionals import evaluate_functional
+# the moduli differences are real and bounded with their sign; every other
+# functional is bounded in modulus
+SIGNED_FUNCTIONALS = {"diff_gamma", "diff_Gamma"}
 
+
+def test_objective_slice_matches_scalar_functionals():
     rng = np.random.default_rng(21)
     for _ in range(50):
         t1 = float(rng.uniform(0, 1))
         tau2 = complex(rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
         tau3 = complex(rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
-        pt = CaratheodoryPoint(t1, tau2, tau3)
-        c = coeffs_from_point(pt)
-        pairs = [
-            ("gamma2", abs(evaluate_functional("gamma2", c).value)),
-            ("Gamma2", abs(evaluate_functional("Gamma2", c).value)),
-            ("gamma3", abs(evaluate_functional("gamma3", c).value)),
-            ("H21_log", abs(evaluate_functional("H21_log", pt).value)),
-            ("H21_inverse", abs(evaluate_functional("H21_log_inverse", pt).value)),
-            ("diff_gamma_upper", evaluate_functional("diff_gamma", c).value),
-            ("diff_Gamma_upper", evaluate_functional("diff_Gamma", c).value),
-        ]
-        t2v = np.array([tau2])
-        t3v = np.array([tau3])
-        for theorem_id, want in pairs:
-            got = objective_slice(theorem_id, t1, t2v, t3v)
-            assert abs(complex(got.ravel()[0]) - want) < 1e-12, theorem_id
+        c = coeffs_from_point(CaratheodoryPoint(t1, tau2, tau3))
+        for theorem_id, th in THEOREMS.items():
+            value = evaluate_functional(th.functional, c).value
+            want = th.sign * value if th.functional in SIGNED_FUNCTIONALS else abs(value)
+            got = objective_slice(theorem_id, t1, np.array([tau2]), np.array([tau3]))
+            assert abs(float(got.ravel()[0]) - want) < 1e-12, (theorem_id, t1, tau2, tau3)
+
+
+# --- registry against the documentation ----------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_bound_rows():
+    """(target, sharp constant) rows of the README "Verified bounds" table."""
+    section = README.read_text().split("## Verified bounds", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\|\s*`([^`]+)`\s*\|[^|]*\|\s*(.+?)\s*\|\s*$", section, re.M)
+    assert rows, "no table rows found"
+    return rows
+
+
+def test_readme_bounds_table_matches_registry():
+    covered = []
+    for target, constant in readme_bound_rows():
+        if target.endswith("_*"):
+            lower = THEOREMS[target[:-1] + "lower"]
+            upper = THEOREMS[target[:-1] + "upper"]
+            assert constant == f"[{lower.bound.expr}, {upper.bound.expr}]", target
+            covered += [lower.id, upper.id]
+        else:
+            assert constant == THEOREMS[target].bound.expr, target
+            covered.append(target)
+    assert sorted(covered) == sorted(THEOREM_IDS)
+
