@@ -60,6 +60,7 @@ from .lemmas import (
     psi_empirical,
     psi_minus_bound,
     psi_plus_bound,
+    y_argmax,
     y_branch,
     y_brute_force,
     y_closed_form,

@@ -20,6 +20,8 @@ import cmath
 from dataclasses import dataclass
 from numbers import Number, Rational
 
+import numpy as np
+
 from .series_engine import TruncatedSeries, series, series_div
 
 TAU_BOUNDARY_TOL = 1e-12  # absorbs float rounding on |tau| = 1 only
@@ -73,7 +75,9 @@ class SchwarzCoeffs:
     """Initial coefficients c1..c4 of a positive-real-part function.
 
     c2..c4 may be absent (None); every present coefficient obeys the class
-    bound |c| <= 2 up to float rounding.
+    bound |c| <= 2 up to float rounding.  A coefficient may also be a numpy
+    array, for evaluating functionals elementwise on a grid; each of its
+    elements is checked the same way.
     """
 
     c1: complex
@@ -87,7 +91,12 @@ class SchwarzCoeffs:
             if val is None:
                 continue
             if not isinstance(val, Number):
-                raise ValueError(f"{name} must be a number")
+                if not isinstance(val, np.ndarray):
+                    raise ValueError(f"{name} must be a number")
+                # NaN fails the comparison too
+                if not (mag_squared(val) <= (2.0 + COEFF_BOUND_TOL) ** 2).all():
+                    raise ValueError(f"every {name} must be finite, with |{name}| <= 2")
+                continue
             if not isinstance(val, Rational) and not cmath.isfinite(val):
                 raise ValueError(f"{name} must be finite, got {val!r}")
             if float(mag_squared(val)) > (2.0 + COEFF_BOUND_TOL) ** 2:

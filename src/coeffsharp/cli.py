@@ -21,6 +21,7 @@ from .caratheodory import CaratheodoryPoint, SchwarzCoeffs
 from .exprs import parse_number
 from .functionals import FUNCTIONAL_NAMES, evaluate_functional
 from .lemmas import (
+    Y_GRID_MAX,
     PsiInput,
     YInput,
     lemma23_bound,
@@ -104,8 +105,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lemma.add_argument("params", nargs="+", help="lemma parameters")
     p_lemma.add_argument("--oracle", action="store_true",
                          help="also run the brute-force oracle")
-    p_lemma.add_argument("--samples", type=int, default=None)
-    p_lemma.add_argument("--grid", type=int, default=200)
+    p_lemma.add_argument("--samples", type=int, default=None,
+                         help="tau1 grid size of the L23/L24 oracles, >= 2")
+    p_lemma.add_argument("--grid", type=int, default=200,
+                         help=f"radii of the Y oracle, 100 to {Y_GRID_MAX}")
     p_lemma.add_argument("--json", metavar="PATH")
     p_lemma.set_defaults(handler=_cmd_lemma)
 
@@ -317,6 +320,11 @@ def _lemma_params(args, count: int, label: str):
 
 
 def _cmd_lemma(args, started) -> int:
+    # checked before anything is printed, as the oracle runs after the bound
+    if not 100 <= args.grid <= Y_GRID_MAX:
+        raise UsageError(f"--grid must lie in [100, {Y_GRID_MAX}]")
+    if args.samples is not None and args.samples < 2:
+        raise UsageError("--samples must be >= 2")
     results: dict
     code = 0
     if args.lemma == "Y":

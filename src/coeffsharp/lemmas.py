@@ -38,12 +38,16 @@ PSI_ARGMAX = math.sqrt(2.0 / 11.0)
 __all__ = [
     "TAU_SPLIT",
     "PSI_ARGMAX",
+    "Y_GRID_MAX",
     "YInput",
     "PsiInput",
     "Lemma24Report",
     "y_closed_form",
     "y_branch",
+    "y_argmax",
     "y_brute_force",
+    "disk_max",
+    "disk_argmax",
     "lemma23_bound",
     "lemma23_empirical",
     "lemma24_check",
@@ -131,14 +135,90 @@ def y_branch(yin: YInput) -> str:
     return branch
 
 
+def _sgn(x: float) -> float:
+    return -1.0 if x < 0 else 1.0
+
+
+def _y_argmax(A: float, B: float, C: float) -> complex:
+    """A point of the closed disk where |A + B z + C z^2| + 1 - |z|^2 attains Y.
+
+    ``R.sqrt`` peaks on the unit circle off the real axis.  Every other
+    branch peaks on the real axis, at the radius r where its terms line up:
+    ``s * sgn(B) * r``, with ``B z`` of the sign ``s`` of the term it adds to.
+    """
+    a, b, c = abs(A), abs(B), abs(C)
+    branch = _y_pieces(A, B, C)[1]
+    if branch == "R.sqrt":
+        return _circle_argmax(A, B, C)
+    if branch in ("i.sum", "i.parabola"):  # A and C share the sign s
+        s = _sgn(A if A != 0 else C)
+        r = 1.0 if branch == "i.sum" else b / (2 * (1 - c))
+    elif branch == "ii.parabola-minus":
+        s, r = _sgn(C), b / (2 * (1 - c))
+    elif branch == "ii.parabola-plus":
+        s, r = _sgn(A), b / (2 * (1 + c))
+    elif branch == "R.drop-c":
+        s, r = _sgn(A), 1.0
+    else:  # R.drop-a
+        s, r = _sgn(C), 1.0
+    return complex(s * _sgn(B) * r)
+
+
+def y_argmax(yin: YInput) -> complex:
+    """A maximizer of |A + B z + C z^2| + 1 - |z|^2 over the closed disk."""
+    y_closed_form(yin)  # rejects an overflowing maximum
+    return _y_argmax(yin.A, yin.B, yin.C)
+
+
+def _circle_argmax(A: float, B: float, C: float) -> complex:
+    """A point of the unit circle where |A + B z + C z^2| peaks, for real A, B, C.
+
+    With x = cos(arg z) the squared modulus is the quadratic
+    ``((A + C) x + B)^2 + (C - A)^2 (1 - x^2)`` in x on [-1, 1], with leading
+    coefficient 4AC: its maximum is at an end or, when AC < 0, at the vertex.
+    """
+    xs = [-1.0, 1.0]
+    if A * C < 0:
+        vertex = -(A + C) * B / (4 * A * C)
+        if -1.0 < vertex < 1.0:
+            xs.append(vertex)
+    x = max(xs, key=lambda x: ((A + C) * x + B) ** 2 + (C - A) ** 2 * (1 - x * x))
+    return complex(x, math.sqrt(1 - x * x))
+
+
+def disk_max(A: float, B: float, C: float, W: float) -> float:
+    """Maximum of |A + B z + C z^2| + W (1 - |z|^2) over the closed disk, W >= 0.
+
+    It is ``W Y(A/W, B/W, C/W)``; at W = 0 it is the maximum modulus on the
+    unit circle.
+    """
+    if W > 0:
+        return W * _y_pieces(A / W, B / W, C / W)[0]
+    z = _circle_argmax(A, B, C)
+    return abs(A + B * z + C * z * z)
+
+
+def disk_argmax(A: float, B: float, C: float, W: float) -> complex:
+    """A point of the closed disk where :func:`disk_max` is attained."""
+    if W > 0:
+        return _y_argmax(A / W, B / W, C / W)
+    return _circle_argmax(A, B, C)
+
+
+#: largest ``y_brute_force`` grid: its complex grid holds 3.6 grid^2 points
+#: (230 MB at the cap) and every numpy temporary of the scan is that size
+Y_GRID_MAX = 2000
+
+
 def y_brute_force(yin: YInput, grid: int = 200) -> float:
     """Grid maximum of the disk objective; the oracle for y_closed_form.
 
     Scans ``grid`` radii by ``3.6 * grid`` angles, then polishes the
     incumbent with alternating golden-section sweeps in angle and radius.
+    ``grid`` must lie in [100, Y_GRID_MAX].
     """
-    if grid < 100:
-        raise ValueError("grid must be >= 100 points per axis")
+    if not 100 <= grid <= Y_GRID_MAX:
+        raise ValueError(f"grid must lie in [100, {Y_GRID_MAX}] points per axis")
     A, B, C = yin.A, yin.B, yin.C
 
     def grid_objective(r, th):
@@ -172,8 +252,18 @@ def lemma23_bound(v: float) -> float:
     return _finite(4 * v - 2)
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2, got {samples}")
+
+
 def lemma23_empirical(v: float, samples: int = 48) -> float:
-    """Grid maximum of |c2 - v c1^2|; approaches lemma23_bound from below."""
+    """Grid maximum of |c2 - v c1^2|; approaches lemma23_bound from below.
+
+    ``samples`` (at least 2) sets the tau1 and angle grid sizes.
+    """
+    _check_samples(samples)
+
     def objective(t1, tau2):
         c1, c2 = c12(t1, tau2)
         return np.abs(c2 - v * c1 * c1)
@@ -210,8 +300,9 @@ def lemma24_check(B: float, D: float, samples: int = 21) -> Lemma24Report:
     scanned.  ``at`` holds the maximizing triple.
 
     Requires the hypothesis 0 <= B <= 1 and B(2B - 1) <= D <= B; anything
-    else is rejected.
+    else is rejected, as is ``samples`` (the tau1 grid size) below 2.
     """
+    _check_samples(samples)
     if not (0 <= B <= 1):
         raise ValueError("hypothesis violated: need 0 <= B <= 1")
     if not (B * (2 * B - 1) <= D <= B):
@@ -240,22 +331,27 @@ def psi_minus_bound(pin: PsiInput) -> float:
     return _finite(2 * b3 + b1 * b1 / (b4 + 2 * b3))
 
 
-def psi_empirical(pin: PsiInput, n_tau1: int = 121, n_r: int = 9,
-                  n_theta: int = 96, rounds: int = 5, shrink: float = 0.3):
-    """Grid extremes of |B2 c1^2 + B3 c2| - |B1 c1| over the class.
+def psi_empirical(pin: PsiInput, n_tau1: int = 121, rounds: int = 10,
+                  shrink: float = 0.1):
+    """Extremes of |B2 c1^2 + B3 c2| - |B1 c1| over the class, as a 1-D search.
 
-    Returns (min, max) after local window refinement around both incumbents.
-    Never exceeds psi_plus_bound above nor -psi_minus_bound below.
+    With c1 = 2t and u = 1 - t^2 the modulus is ``|(4 B2 + 2 B3) t^2 + 2 B3 u
+    tau2|``, so over the tau2 disk it ranges over ``[max(0, B4 t^2 - 2|B3| u),
+    B4 t^2 + 2|B3| u]``, and ``|B1 c1| = 2 B1 t``.  Both sides are scanned
+    over t in [0, 1] with shrinking windows; returns (min, max).  Never
+    exceeds psi_plus_bound above nor -psi_minus_bound below.
     """
-    B1, B2, B3 = pin.B1, pin.B2, pin.B3
+    b1, b3, b4 = pin.B1, abs(pin.B3), pin.B4
 
-    def value(t1, tau2):
-        c1, c2 = c12(t1, tau2)
-        return np.abs(B2 * c1 * c1 + B3 * c2) - B1 * np.abs(c1)
+    def top(t):
+        return b4 * t * t + 2 * b3 * (1 - t * t) - 2 * b1 * t
 
-    grid = (n_tau1, n_r, n_theta, rounds, shrink)
-    vmax = tau_argmax(value, *grid)[0]
-    vmin = -tau_argmax(lambda t1, tau2: -value(t1, tau2), *grid)[0]
+    def negated_bottom(t):
+        return 2 * b1 * t - np.maximum(0.0, b4 * t * t - 2 * b3 * (1 - t * t))
+
+    axes = [(0.0, 1.0, n_tau1, False)]
+    vmax = grid_argmax(top, axes, rounds, shrink)[0]
+    vmin = -grid_argmax(negated_bottom, axes, rounds, shrink)[0]
     return vmin, vmax
 
 

@@ -1,20 +1,37 @@
 """Deterministic global search certifying each sharp bound.
 
 ``THEOREMS`` holds one :class:`Theorem` per bound (functional, sharp
-constant and direction, exact witness, search objective); ``verify``,
-``objective_slice`` and ``sharpness_witness`` read nothing else.  Each
-target is searched by ``_search.grid_argmax`` over (tau1, |tau2|, arg tau2),
-or tau1 alone: one full grid scan, then rescans of a shrinking window around
-the incumbent.  Radius grids always contain r = 1 and angle grids 0, so
-boundary extrema are exact grid members.
+constant and direction, exact witness); ``verify``, ``objective_slice`` and
+``sharpness_witness`` read nothing else.
 
-The three-parameter functionals are affine in tau3 with a real weight,
-``|head(tau1, tau2) + w(tau1, tau2) tau3|``, so their supremum over the
-closed disk is ``|head| + |w|``, attained at ``tau3 = head/|head|`` (1 when
-head = 0).  tau3 is eliminated in closed form rather than scanned, and
-``evaluations`` counts (tau1, tau2) points.  ``objective_slice`` still
-evaluates the affine form on an explicit tau3 grid, as the brute-force
-oracle of that reduction.  Scans are pure and deterministic.
+Every target is searched as a 1-D profile in tau1, as the paper proves the
+bounds.  With ``c1 = 2 tau1`` real, each functional the bounds are about is
+
+    A + B tau2 + C tau2^2 + W (1 - |tau2|^2) tau3
+
+with real polynomials A, B, C, W in tau1, derived once per functional from
+``evaluate_functional`` itself: exact values at tau2 in {0, 1, -1} and tau3
+in {0, 1} on five rational tau1 nodes, interpolated as ``Fraction``
+polynomials of degree <= 4 and checked at a sixth node.  tau3 and tau2 are
+then eliminated in closed form:
+
+* with C = W = 0 (the two-parameter targets) the sup over the tau2 disk is
+  ``|A| + |B|`` and the inf ``max(0, |A| - |B|)``;
+* otherwise the sup over tau3 is ``|A + B tau2 + C tau2^2| + |W| (1 -
+  |tau2|^2)``, and its sup over tau2 is ``|W| Y(A/|W|, B/|W|, C/|W|)`` by
+  Lemma Y (``lemmas.disk_max``), the maximum modulus on the circle where
+  W = 0.
+
+The moduli differences subtract ``|offset|``, a function of tau1 alone.
+``_search.grid_argmax`` scans the profile over tau1 in [0, 1] (one full grid,
+then shrinking windows around the incumbent), so ``evaluations`` counts
+tau1 points, and the reported maximizer carries the exact maximizing tau2
+and tau3.  ``SearchConfig.grid_r`` and ``grid_theta`` are accepted and
+validated but no longer used.  ``objective_slice`` is the brute-force
+oracle: on explicit tau2 and tau3 grids it evaluates the functional itself,
+which checks the derived polynomials and the tau3 step; with tau3
+eliminated, its dense tau2 maximum checks the tau2 step.  Scans are pure and
+deterministic.
 """
 
 from __future__ import annotations
@@ -22,19 +39,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from functools import cache, cached_property
 
 import numpy as np
 
-from ._search import grid_argmax, tau_argmax, unit_direction
-from .caratheodory import CaratheodoryPoint, c12, c3_parts, coeffs_from_point
-from .functionals import (
-    FunctionalValue,
-    diff_gamma_c,
-    diff_Gamma_c,
-    evaluate_functional,
-    hankel_tau_parts,
+from ._search import grid_argmax, unit_direction
+from .caratheodory import (
+    CaratheodoryPoint,
+    SchwarzCoeffs,
+    c12,
+    c3_parts,
+    coeffs_from_point,
+    mag_squared,
 )
+from .functionals import FunctionalValue, evaluate_functional
+from .lemmas import disk_argmax, disk_max
 
 __all__ = [
     "THEOREMS",
@@ -62,6 +81,8 @@ class Bound:
 @dataclass(frozen=True)
 class SearchConfig:
     grid_tau1: int = 101
+    # unused since the search is 1-D in tau1; still accepted and validated
+    # because the benchmark's search configs (perfbench/workloads.py) pass them
     grid_r: int = 21
     grid_theta: int = 72
     refinement_rounds: int = 6
@@ -95,91 +116,174 @@ class VerificationReport:
     passed: bool
 
 
+def _horner(coeffs, x):
+    value = 0
+    for c in coeffs:
+        value = value * x + c
+    return value
+
+
+def _value(name: str, t1, tau2, tau3):
+    """``name`` through evaluate_functional's coefficient route, elementwise:
+    exact over Fractions, broadcasting over numpy grids."""
+    c1, c2 = c12(t1, tau2)
+    head, w = c3_parts(t1, tau2)
+    return evaluate_functional(name, SchwarzCoeffs(c1, c2, head + w * tau3)).value
+
+
+def _abcw(name: str, t1: Fraction) -> tuple:
+    """(A, B, C, W) at a rational tau1, read off tau2 in {0, 1, -1} and tau3 in {0, 1}."""
+    f0, fp, fm = _value(name, t1, 0, 0), _value(name, t1, 1, 0), _value(name, t1, -1, 0)
+    return f0, (fp - fm) / 2, (fp + fm) / 2 - f0, _value(name, t1, 0, 1) - f0
+
+
+#: tau1 nodes of the interpolation (every coefficient has degree <= 4 in
+#: tau1), and the node that checks the degree bound
+_NODES = tuple(Fraction(k, 4) for k in range(5))
+_CHECK = Fraction(1, 3)
+
+
+def _lagrange_basis(nodes) -> list:
+    """Coefficients, highest degree first, of the Lagrange basis polynomials
+    of the nodes: the i-th is 1 at node i and 0 at the others."""
+    basis = []
+    for i, xi in enumerate(nodes):
+        poly, denom = [Fraction(1)], Fraction(1)
+        for j, xj in enumerate(nodes):
+            if j != i:
+                poly = [a - xj * b for a, b in zip(poly + [0], [0] + poly)]
+                denom *= xi - xj
+        basis.append([c / denom for c in poly])
+    return basis
+
+
+@cache
+def _tau1_polynomials(name: str) -> tuple:
+    """Exact polynomials (A, B, C, W) in tau1, each highest degree first, with
+
+        name(tau1, tau2, tau3) = A + B tau2 + C tau2^2 + W (1 - |tau2|^2) tau3.
+
+    Derived from the functional itself; a sixth node checks the degree bound
+    and the point (tau2, tau3) = (1/2, 1/2) the form in tau2 and tau3.
+    """
+    basis = _lagrange_basis(_NODES)
+    polys = tuple(tuple(sum(y * b[k] for y, b in zip(column, basis)) for k in range(len(_NODES)))
+                  for column in zip(*(_abcw(name, t) for t in _NODES)))
+    A, B, C, W = (_horner(p, _CHECK) for p in polys)
+    h = Fraction(1, 2)
+    if ((A, B, C, W) != _abcw(name, _CHECK)
+            or A + B * h + C * h * h + W * (1 - h * h) * h != _value(name, _CHECK, h, h)):
+        raise ValueError(f"{name} is not A + B tau2 + C tau2^2 + W (1 - |tau2|^2) tau3 "
+                         "with coefficients of degree <= 4 in tau1")
+    return polys
+
+
 @dataclass(frozen=True)
 class Theorem:
-    """One sharp bound and everything needed to certify it."""
+    """One sharp bound and everything needed to certify it.
+
+    The bounded functional is ``|modulus| - |offset|``; only the moduli
+    differences have an ``offset``, which depends on tau1 alone.
+    """
 
     id: str
     functional: str  # the evaluate_functional name it bounds
     bound: Bound
     witness: tuple  # extremal (tau1, tau2, tau3)
-    dims: int  # 1, 2 or 3 active tau parameters
-    objective: Callable  # value on (tau1[, tau2]); dims 3: its sup over tau3
-    parts: Callable | None = None  # dims 3: (head, w, scale) of |head + w tau3| scale
+    modulus: str
+    offset: str | None = None
 
     @property
     def sign(self) -> float:  # the search maximizes sign * objective
         return 1.0 if self.bound.direction == "max" else -1.0
 
-    def maximized(self, *args):
-        return self.objective(*args) if self.sign > 0 else -self.objective(*args)
+    @cached_property
+    def _coefficients(self) -> tuple:
+        """Float (A, B, C, W, offset) polynomials in tau1; derived on first use."""
+        polys = _tau1_polynomials(self.modulus)
+        offset = [0]
+        if self.offset is not None:
+            offset, *rest = _tau1_polynomials(self.offset)
+            if any(any(p) for p in rest):
+                raise ValueError(f"{self.offset} depends on tau2 or tau3")
+        if self.sign < 0 and any(any(p) for p in polys[2:]):
+            raise ValueError(f"{self.id}: only |A + B tau2| has a closed-form infimum here")
+        return tuple(np.array([float(c) for c in p]) for p in (*polys, offset))
 
+    def _at(self, t1: float) -> tuple:
+        """(A, B, C, W, offset) at one tau1, as floats."""
+        return tuple(float(np.polyval(p, t1)) for p in self._coefficients)
 
-# --- vectorized objectives -------------------------------------------------
-# tau2 enters as a complex grid and tau1 broadcasts against it.
+    @property
+    def _affine(self) -> bool:  # C = W = 0: the functional is |A + B tau2|
+        return not (self._coefficients[2].any() or self._coefficients[3].any())
 
-def _obj_gamma1(t1):
-    return np.abs(2.0 * t1) / 4.0
+    def profile(self, t1) -> np.ndarray:
+        """``sign`` times the extremum over (tau2, tau3) at each tau1: the
+        function of tau1 alone that the search maximizes."""
+        A, B, C, W, offset = (np.polyval(p, t1) for p in self._coefficients)
+        if not self._affine:
+            modulus = np.array([disk_max(*v) for v in zip(
+                A.tolist(), B.tolist(), C.tolist(), np.abs(W).tolist())])
+        elif self.sign > 0:
+            modulus = np.abs(A) + np.abs(B)
+        else:
+            modulus = np.maximum(0.0, np.abs(A) - np.abs(B))
+        return self.sign * (modulus - np.abs(offset))
 
+    def tau3_sup(self, t1: float, tau2) -> np.ndarray:
+        """``sign * (|modulus| - |offset|)`` at one tau1 on a tau2 grid, with
+        the modulus replaced by its sup over the closed tau3 disk,
+        ``|A + B tau2 + C tau2^2| + |W| (1 - |tau2|^2)``."""
+        A, B, C, W, offset = self._at(t1)
+        head = A + B * tau2 + C * tau2 * tau2
+        return self.sign * (np.abs(head) + abs(W) * (1 - mag_squared(tau2)) - abs(offset))
 
-def _obj_gamma2(t1, tau2):
-    c1, c2 = c12(t1, tau2)
-    return np.abs(c2 - c1 * c1 / 4.0) / 8.0
+    def maximizing_tau3(self, t1: float, tau2: complex) -> complex:
+        """The tau3 where ``|head + W (1 - |tau2|^2) tau3|`` peaks over the closed disk."""
+        A, B, C, W, _ = self._at(t1)
+        head = A + B * tau2 + C * tau2 * tau2
+        return unit_direction(head if W >= 0 else -head)
 
-
-def _obj_Gamma2(t1, tau2):
-    c1, c2 = c12(t1, tau2)
-    return np.abs(c2 - 1.25 * c1 * c1) / 8.0
-
-
-def _of_c12(form):
-    """A raw (c1, c2) form as an objective on (tau1, tau2)."""
-    return lambda t1, tau2: form(*c12(t1, tau2))
-
-
-def _parts_gamma3(t1, tau2):
-    c1, c2 = c12(t1, tau2)
-    head, w = c3_parts(t1, tau2)
-    return head - c1 * c2 / 2.0, w, 1.0 / 12.0
-
-
-def _parts_h21_log(t1, tau2):
-    return (*hankel_tau_parts(t1, tau2, -3, 4), 1.0 / 192.0)
-
-
-def _parts_h21_inverse(t1, tau2):
-    return (*hankel_tau_parts(t1, tau2, 9, -20), 1.0 / 192.0)
-
-
-def _affine(theorem_id, functional, bound, witness, parts) -> Theorem:
-    def tau3_sup(t1, tau2):
-        head, w, scale = parts(t1, tau2)
-        return (np.abs(head) + np.abs(w)) * scale
-    return Theorem(theorem_id, functional, bound, witness, 3, tau3_sup, parts)
+    def maximizer(self, t1: float) -> CaratheodoryPoint:
+        """The exact (tau2, tau3) where ``profile`` is attained at tau1."""
+        A, B, C, W, _ = self._at(t1)
+        if not self._affine:
+            tau2 = disk_argmax(A, B, C, abs(W))
+            return CaratheodoryPoint(t1, tau2, self.maximizing_tau3(t1, tau2))
+        if B == 0:
+            tau2 = 0.0
+        elif self.sign > 0:  # B tau2 lines up with A
+            tau2 = math.copysign(1.0, A * B)
+        elif abs(B) >= abs(A):  # A + B tau2 = 0 inside the disk
+            tau2 = -A / B
+        else:
+            tau2 = -math.copysign(1.0, A * B)
+        return CaratheodoryPoint(t1, complex(tau2), 0j)
 
 
 _F0, _F1 = Fraction(0), Fraction(1)
 
 # |Gamma1| = |gamma1| = |c1|/4, but the two theorems are reported separately.
 THEOREMS = {th.id: th for th in (
-    Theorem("gamma1", "gamma1", Bound("1/2", 0.5, "max"), (_F1, _F0, _F0), 1, _obj_gamma1),
-    Theorem("gamma2", "gamma2", Bound("1/4", 0.25, "max"), (_F0, _F1, _F0), 2, _obj_gamma2),
-    _affine("gamma3", "gamma3", Bound("1/6", 1.0 / 6.0, "max"), (_F0, _F0, _F1), _parts_gamma3),
-    _affine("H21_log", "H21_log", Bound("1/16", 0.0625, "max"), (_F0, _F1, _F0), _parts_h21_log),
-    Theorem("Gamma1", "Gamma1", Bound("1/2", 0.5, "max"), (_F1, _F0, _F0), 1, _obj_gamma1),
-    Theorem("Gamma2", "Gamma2", Bound("3/8", 0.375, "max"), (_F1, _F0, _F0), 2, _obj_Gamma2),
-    _affine("H21_inverse", "H21_log_inverse", Bound("3/44", 3.0 / 44.0, "max"),
-            (math.sqrt(2.0 / 11.0), 1.0, 1.0), _parts_h21_inverse),
+    Theorem("gamma1", "gamma1", Bound("1/2", 0.5, "max"), (_F1, _F0, _F0), "gamma1"),
+    Theorem("gamma2", "gamma2", Bound("1/4", 0.25, "max"), (_F0, _F1, _F0), "gamma2"),
+    Theorem("gamma3", "gamma3", Bound("1/6", 1.0 / 6.0, "max"), (_F0, _F0, _F1), "gamma3"),
+    Theorem("H21_log", "H21_log", Bound("1/16", 0.0625, "max"), (_F0, _F1, _F0), "H21_log"),
+    Theorem("Gamma1", "Gamma1", Bound("1/2", 0.5, "max"), (_F1, _F0, _F0), "Gamma1"),
+    Theorem("Gamma2", "Gamma2", Bound("3/8", 0.375, "max"), (_F1, _F0, _F0), "Gamma2"),
+    Theorem("H21_inverse", "H21_log_inverse", Bound("3/44", 3.0 / 44.0, "max"),
+            (math.sqrt(2.0 / 11.0), 1.0, 1.0), "H21_log_inverse"),
     Theorem("diff_gamma_upper", "diff_gamma", Bound("1/4", 0.25, "max"),
-            (_F0, _F1, _F0), 2, _of_c12(diff_gamma_c)),
+            (_F0, _F1, _F0), "gamma2", "gamma1"),
     Theorem("diff_gamma_lower", "diff_gamma",
             Bound("-1/sqrt(6)", -1.0 / math.sqrt(6.0), "min"),
-            (math.sqrt(2.0 / 3.0), -1.0, 0.0), 2, _of_c12(diff_gamma_c)),
+            (math.sqrt(2.0 / 3.0), -1.0, 0.0), "gamma2", "gamma1"),
     Theorem("diff_Gamma_upper", "diff_Gamma", Bound("1/4", 0.25, "max"),
-            (_F0, _F1, _F0), 2, _of_c12(diff_Gamma_c)),
+            (_F0, _F1, _F0), "Gamma2", "Gamma1"),
     Theorem("diff_Gamma_lower", "diff_Gamma",
             Bound("-1/sqrt(10)", -1.0 / math.sqrt(10.0), "min"),
-            (math.sqrt(2.0 / 5.0), 1.0, 0.0), 2, _of_c12(diff_Gamma_c)),
+            (math.sqrt(2.0 / 5.0), 1.0, 0.0), "Gamma2", "Gamma1"),
 )}
 
 THEOREM_IDS = tuple(THEOREMS)
@@ -191,42 +295,27 @@ def _theorem(theorem_id: str) -> Theorem:
     return THEOREMS[theorem_id]
 
 
-def objective_slice(theorem_id: str, t1: float, tau2: np.ndarray | None = None,
+def objective_slice(theorem_id: str, t1: float, tau2: np.ndarray,
                     tau3: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate one target's maximized search objective on a tau1 slice.
+    """``sign * (|modulus| - |offset|)`` on a tau1 slice.
 
-    For three-parameter targets pass flat complex ``tau2`` and ``tau3`` grids
-    and get the (len(tau2), len(tau3)) objective matrix, or omit ``tau3`` to
-    get the closed-form sup over the closed tau3 disk that the search scans;
-    two-parameter targets ignore ``tau3``; one-parameter targets ignore both.
-    Infimum targets come back negated, as the search maximizes them.
+    With flat complex ``tau2`` and ``tau3`` grids the functional is evaluated
+    by brute force through the coefficient route, giving the (len(tau2),
+    len(tau3)) matrix: the oracle of the derived polynomials and of the tau3
+    reduction.  With ``tau3`` omitted it is :meth:`Theorem.tau3_sup`, one value
+    per tau2: the function whose tau2 sup the search's profile takes in
+    closed form.  Infimum targets come back negated, as the search maximizes
+    them.
     """
     th = _theorem(theorem_id)
-    if th.dims == 1:
-        return np.asarray(th.maximized(np.asarray(t1, dtype=float)))
-    if th.dims == 2 or tau3 is None:
-        return np.asarray(th.maximized(float(t1), np.asarray(tau2)))
-    head, w, scale = th.parts(float(t1), np.asarray(tau2, dtype=complex))
-    return np.abs(head[:, None] + w[:, None] * np.asarray(tau3)[None, :]) * scale
-
-
-def _search(th: Theorem, cfg: SearchConfig):
-    rounds, shrink = cfg.refinement_rounds, cfg.shrink_factor
-    if th.dims == 1:
-        return grid_argmax(th.maximized, [(0.0, 1.0, cfg.grid_tau1, False)], rounds, shrink)
-    return tau_argmax(th.maximized, cfg.grid_tau1, cfg.grid_r, cfg.grid_theta, rounds, shrink)
-
-
-def _maximizing_tau3(parts, t1: float, tau2: complex) -> complex:
-    head, _, _ = parts(t1, np.array([tau2]))
-    return unit_direction(complex(head[0]))
-
-
-def _maximizer(th: Theorem, point: tuple) -> CaratheodoryPoint:
-    t1, r, theta = point if th.dims > 1 else (point[0], 0.0, 0.0)
-    tau2 = r * complex(math.cos(theta), math.sin(theta))
-    tau3 = 0j if th.parts is None else _maximizing_tau3(th.parts, t1, tau2)
-    return CaratheodoryPoint(t1, tau2, tau3)
+    t1, tau2 = float(t1), np.asarray(tau2, dtype=complex)
+    if tau3 is None:
+        return th.tau3_sup(t1, tau2)
+    modulus = np.abs(_value(th.modulus, t1, tau2[:, None],
+                            np.asarray(tau3, dtype=complex)[None, :]))
+    if th.offset is not None:
+        modulus = modulus - abs(_value(th.offset, t1, 0.0, 0.0))
+    return th.sign * modulus
 
 
 def verify(theorem_id: str, cfg: SearchConfig = SearchConfig()) -> VerificationReport:
@@ -235,14 +324,15 @@ def verify(theorem_id: str, cfg: SearchConfig = SearchConfig()) -> VerificationR
     An exceeded bound comes back as a failed report, never an exception.
     """
     th = _theorem(theorem_id)
-    value, point, evals = _search(th, cfg)
+    value, (t1,), evals = grid_argmax(th.profile, [(0.0, 1.0, cfg.grid_tau1, False)],
+                                      cfg.refinement_rounds, cfg.shrink_factor)
     empirical = th.sign * value
     gap = th.sign * (th.bound.value - empirical)
     return VerificationReport(
         theorem_id=theorem_id,
         bound=th.bound,
         empirical_extremum=empirical,
-        maximizer=_maximizer(th, point),
+        maximizer=th.maximizer(t1),
         gap=gap,
         evaluations=evals,
         passed=-cfg.tolerance_exceed <= gap <= cfg.tolerance_attain,

@@ -59,6 +59,16 @@ def test_coeffs_reject_non_finite(bad):
         SchwarzCoeffs(0, 0, bad)
 
 
+@pytest.mark.parametrize("bad", NON_FINITE + (2.1, complex(1.5, 1.5)))
+def test_array_coeffs_check_every_element(bad):
+    good = np.array([0.5, 1j, -2.0])
+    SchwarzCoeffs(good, good, good)
+    with pytest.raises(ValueError, match="finite"):
+        SchwarzCoeffs(0.5, np.append(good, bad))
+    with pytest.raises(ValueError, match="number"):
+        SchwarzCoeffs([0.5])
+
+
 @pytest.mark.parametrize("bad", NON_FINITE)
 def test_point_rejects_non_finite(bad):
     with pytest.raises(ValueError):

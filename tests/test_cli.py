@@ -280,6 +280,19 @@ def test_lemma_y_with_oracle(capsys):
     assert abs(closed - oracle) <= 1e-4
 
 
+@pytest.mark.parametrize("grid", ["99", "2001", "100000"])
+def test_lemma_y_grid_out_of_range_exits_two(capsys, grid):
+    code, out, err = run(capsys, "lemma", "Y", "0.1", "0.2", "0.3", "--oracle", "--grid", grid)
+    assert code == 2 and out == "" and "--grid" in err
+
+
+@pytest.mark.parametrize("argv", [("L23", "1/4", "--oracle"), ("L24", "1/4", "0")])
+@pytest.mark.parametrize("samples", ["1", "0", "-3"])
+def test_lemma_samples_below_two_exit_two(capsys, argv, samples):
+    code, out, err = run(capsys, "lemma", *argv, "--samples", samples)
+    assert code == 2 and out == "" and "--samples" in err
+
+
 def test_lemma_l23(capsys):
     code, out, _ = run(capsys, "lemma", "L23", "0.25")
     assert code == 0 and out.strip().startswith("bound: 2.0")

@@ -20,11 +20,16 @@ from coeffsharp.lemmas import (
     psi_empirical,
     psi_minus_bound,
     psi_plus_bound,
+    Y_GRID_MAX,
+    disk_argmax,
+    disk_max,
+    y_argmax,
     y_branch,
     y_brute_force,
     y_closed_form,
     _lemma24_sup,
 )
+from coeffsharp._search import tau_argmax
 
 # one exemplar per branch of the disk maximum, all double checked against the
 # brute-force oracle below
@@ -59,6 +64,12 @@ def test_y_rejects_nonfinite():
         YInput(float("inf"), 0.0, 0.0)
     with pytest.raises(ValueError):
         y_brute_force(YInput(1, 1, 1), grid=50)
+
+
+@pytest.mark.parametrize("grid", [Y_GRID_MAX + 1, 100_000])
+def test_y_brute_force_caps_its_grid(grid):
+    with pytest.raises(ValueError, match="grid"):
+        y_brute_force(YInput(0.1, 0.2, 0.3), grid=grid)
 
 
 def test_y_case_three_profile():
@@ -106,6 +117,57 @@ def test_y_oracle_equivalence_with_branch_coverage():
         "R.drop-c", "R.drop-a", "R.sqrt",
     }
     assert all(seen[b] >= 1 for b in ("R.drop-c", "R.drop-a", "R.sqrt"))
+
+
+def y_regime_inputs(rng, n):
+    """n inputs from each of four regimes: wide and unit boxes, a tiny |A|
+    against an opposite-sign C (the parabola seams), and large |A|, |B| with
+    a small opposite-sign C (drop-c)."""
+    out = []
+    for _ in range(n):
+        out.append(tuple(rng.uniform(-5, 5, 3)))
+        out.append(tuple(rng.uniform(-1, 1, 3)))
+        c = rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 0.95)
+        out.append((-math.copysign(rng.uniform(0, 0.05), c), rng.uniform(-1, 1), c))
+        a = rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 5)
+        b = rng.choice((-1.0, 1.0)) * rng.uniform(2.5, 5)
+        out.append((a, b, -math.copysign(rng.uniform(0, 0.5), a)))
+    return [YInput(*map(float, abc)) for abc in out]
+
+
+def disk_objective(A, B, C, z, W=1.0):
+    return abs(A + B * z + C * z * z) + W * (1 - abs(z) ** 2)
+
+
+def test_y_argmax_attains_the_closed_form_on_every_branch():
+    inputs = [yin for yin, _, _ in BRANCH_EXEMPLARS] + y_regime_inputs(np.random.default_rng(7), 300)
+    inputs += [YInput(0.0, 0.0, 0.0), YInput(0.0, 1.0, 0.0), YInput(0.0, 0.0, -2.0),
+               YInput(2.0, 0.0, 0.0), YInput(-1.0, 0.0, 0.5)]
+    seen = Counter()
+    for yin in inputs:
+        seen[y_branch(yin)] += 1
+        z = y_argmax(yin)
+        assert abs(z) <= 1 + 1e-15, yin
+        got = disk_objective(yin.A, yin.B, yin.C, z)
+        assert abs(got - y_closed_form(yin)) <= 1e-12, (yin, y_branch(yin), got)
+    assert set(seen) == {b for _, b, _ in BRANCH_EXEMPLARS}
+
+
+def test_disk_max_scales_y_and_takes_the_circle_limit():
+    rng = np.random.default_rng(8)
+    circle = np.exp(1j * np.linspace(0.0, 2 * np.pi, 20000, endpoint=False))
+    for A, B, C in rng.uniform(-2, 2, size=(200, 3)).tolist():
+        for W in (0.5, 3.0):
+            want = W * y_closed_form(YInput(A / W, B / W, C / W))
+            assert disk_max(A, B, C, W) == pytest.approx(want, rel=1e-14)
+            z = disk_argmax(A, B, C, W)
+            assert abs(disk_objective(A, B, C, z, W) - disk_max(A, B, C, W)) <= 1e-12
+        # W = 0: the maximum modulus on the circle, against a dense circle scan
+        top = disk_max(A, B, C, 0.0)
+        brute = float(np.abs(A + B * circle + C * circle * circle).max())
+        assert brute - 1e-12 <= top <= brute + 1e-6, (A, B, C)
+        z = disk_argmax(A, B, C, 0.0)
+        assert abs(abs(z) - 1) <= 1e-15 and abs(abs(A + B * z + C * z * z) - top) <= 1e-12
 
 
 def test_y_seam_continuity():
@@ -162,6 +224,14 @@ def test_lemma23_empirical_approaches_bound(v):
     bound = lemma23_bound(v)
     assert emp <= bound + 1e-9
     assert emp >= bound - 1e-9  # extremes sit on grid corners
+
+
+@pytest.mark.parametrize("samples", [1, 0, -3])
+def test_oracles_reject_fewer_than_two_samples(samples):
+    with pytest.raises(ValueError, match="samples"):
+        lemma23_empirical(0.25, samples=samples)
+    with pytest.raises(ValueError, match="samples"):
+        lemma24_check(0.25, 0.0, samples=samples)
 
 
 # --- |c3 - 2B c1 c2 + D c1^3| ----------------------------------------------------------
@@ -297,6 +367,46 @@ def test_psi_empirical_within_and_near_bounds(pin):
     assert lo >= -minus - 1e-9
     assert hi >= plus - 1e-3
     assert lo <= -minus + 1e-3
+
+
+def psi_grid_extremes(pin, n_tau1=121, n_r=9, n_theta=96, rounds=5, shrink=0.3):
+    """Brute-force oracle of psi_empirical: the functional on a tau1 grid by a
+    polar tau2 grid, refined around both incumbents."""
+    def value(t1, tau2):
+        c1 = 2 * t1
+        c2 = 2 * t1 * t1 + 2 * (1 - t1 * t1) * tau2
+        return np.abs(pin.B2 * c1 * c1 + pin.B3 * c2) - pin.B1 * np.abs(c1)
+
+    grid = (n_tau1, n_r, n_theta, rounds, shrink)
+    vmax = tau_argmax(value, *grid)[0]
+    vmin = -tau_argmax(lambda t1, tau2: -value(t1, tau2), *grid)[0]
+    return vmin, vmax
+
+
+def psi_weights(rng):
+    return PsiInput(float(rng.uniform(0.05, 2)), complex(*rng.uniform(-1, 1, 2)),
+                    float(rng.uniform(-1, 1)))
+
+
+def test_psi_empirical_dominates_the_two_dimensional_scan():
+    rng = np.random.default_rng(41)
+    for pin in REFERENCE_PSI_INPUTS + [psi_weights(rng) for _ in range(12)]:
+        lo, hi = psi_empirical(pin)
+        brute_lo, brute_hi = psi_grid_extremes(pin)
+        # the tau2 disk is eliminated exactly, so only the tau1 grid is left
+        assert hi >= brute_hi - 1e-12 and lo <= brute_lo + 1e-12, pin
+        assert hi <= psi_plus_bound(pin) + 1e-9 and lo >= -psi_minus_bound(pin) - 1e-9, pin
+
+
+def test_psi_empirical_reaches_both_bounds():
+    # (0.055659, 0.758326, 0.597635): a minimizer at the kink of
+    # max(0, B4 t^2 - 2|B3| u), where the 2-D scan stayed 3.3e-3 above the bound
+    rng = np.random.default_rng(42)
+    defect = PsiInput(0.055659, 0.758326, 0.597635)
+    for pin in [defect] + REFERENCE_PSI_INPUTS + [psi_weights(rng) for _ in range(50)]:
+        lo, hi = psi_empirical(pin)
+        assert abs(hi - psi_plus_bound(pin)) <= 1e-9, pin
+        assert abs(lo + psi_minus_bound(pin)) <= 1e-9, pin
 
 
 # --- scalar case profiles -----------------------------------------------------------------

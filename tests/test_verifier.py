@@ -15,7 +15,6 @@ from coeffsharp.verifier import (
     THEOREM_IDS,
     THEOREMS,
     SearchConfig,
-    _maximizing_tau3,
     objective_slice,
     sharpness_witness,
     verify,
@@ -27,6 +26,8 @@ COARSE = SearchConfig(grid_tau1=13, grid_r=5, grid_theta=8,
 
 # the three-parameter targets and the scalar functional each one bounds
 THREE_PARAM = {"gamma3": "gamma3", "H21_log": "H21_log", "H21_inverse": "H21_log_inverse"}
+TWO_PARAM = ("gamma2", "Gamma2", "diff_gamma_upper", "diff_gamma_lower",
+             "diff_Gamma_upper", "diff_Gamma_lower")
 
 # dense explicit tau3 grid of the brute-force oracle: radii include 1 and
 # adjacent angles are 2 pi / 144 apart, so some grid tau3 lies within pi / 144
@@ -114,11 +115,20 @@ def test_tau3_sup_matches_dense_tau3_scan(theorem_id):
         assert reduced - brute <= reduced * TAU3_GRID_SLACK + 1e-12, (t1, tau2)
 
 
+@pytest.mark.parametrize("theorem_id", TWO_PARAM)
+def test_two_param_objective_does_not_depend_on_tau3(theorem_id):
+    tau3 = DENSE_TAU3[::97]
+    for t1, tau2 in random_t1_tau2(7, n=50):
+        reduced = float(objective_slice(theorem_id, t1, np.array([tau2]))[0])
+        brute = objective_slice(theorem_id, t1, np.array([tau2]), tau3)
+        assert np.abs(brute - reduced).max() <= 1e-12, (t1, tau2)
+
+
 @pytest.mark.parametrize("theorem_id,functional", sorted(THREE_PARAM.items()))
 def test_maximizing_tau3_attains_the_sup(theorem_id, functional):
-    parts = THEOREMS[theorem_id].parts
+    th = THEOREMS[theorem_id]
     for t1, tau2 in random_t1_tau2(6):
-        tau3 = _maximizing_tau3(parts, t1, tau2)
+        tau3 = th.maximizing_tau3(t1, tau2)
         assert abs(abs(tau3) - 1.0) <= 1e-12
         reduced = float(objective_slice(theorem_id, t1, np.array([tau2]))[0])
         got = abs(evaluate_functional(functional, CaratheodoryPoint(t1, tau2, tau3)).value)
@@ -135,12 +145,61 @@ def test_reported_maximizer_reproduces_extremum(theorem_id, functional):
         assert abs(got - rep.empirical_extremum) <= 1e-12
 
 
-def test_three_param_evaluations_count_tau1_tau2_points():
-    unrefined = SearchConfig(grid_tau1=13, grid_r=5, grid_theta=8, refinement_rounds=0)
-    for cfg, expected in ((unrefined, 13 * 5 * 8), (SearchConfig(), 1_081_710)):
-        assert verify("gamma2", cfg).evaluations == expected
-        for theorem_id in THREE_PARAM:
-            assert verify(theorem_id, cfg).evaluations == expected, theorem_id
+@pytest.mark.parametrize("theorem_id", TWO_PARAM)
+def test_reported_maximizer_reproduces_extremum_two_param(theorem_id):
+    th = THEOREMS[theorem_id]
+    for cfg in (COARSE, SearchConfig()):
+        rep = verify(theorem_id, cfg)
+        assert rep.maximizer.tau3 == 0
+        value = evaluate_functional(th.functional, rep.maximizer).value
+        got = value if th.sign < 0 else abs(value)
+        assert abs(got - rep.empirical_extremum) <= 1e-12
+
+
+def test_evaluations_count_tau1_points():
+    unrefined = SearchConfig(grid_tau1=13, refinement_rounds=0)
+    for theorem_id in THEOREM_IDS:
+        assert verify(theorem_id, unrefined).evaluations == 13, theorem_id
+        # each round scans 101 points, plus the incumbent when it is off them
+        assert 101 * 7 <= verify(theorem_id).evaluations <= 101 + 6 * 102 < 1000, theorem_id
+
+
+def test_results_do_not_depend_on_polar_grid_sizes():
+    base = SearchConfig(grid_tau1=17, refinement_rounds=2)
+    other = SearchConfig(grid_tau1=17, grid_r=3, grid_theta=5, refinement_rounds=2)
+    assert verify_all(base) == verify_all(other)
+
+
+# dense brute-force tau2 grid: 401 radii (1 included) by 1440 angles (0 and pi
+# included)
+DENSE_RADII, DENSE_ANGLES = 401, 1440
+DENSE_TAU2 = (np.linspace(0.0, 1.0, DENSE_RADII)[:, None]
+              * np.exp(1j * np.linspace(0.0, 2 * np.pi, DENSE_ANGLES, endpoint=False))[None, :]
+              ).ravel()
+# every point of the disk lies within this distance of a grid point
+DENSE_STEP = math.hypot(0.5 / (DENSE_RADII - 1), math.pi / DENSE_ANGLES)
+PROFILE_T1 = sorted({0.0, 1.0, 2 / 3, TAU_SPLIT, math.sqrt(2 / 3), math.sqrt(2 / 5),
+                     *np.linspace(0.0, 1.0, 41).tolist()})
+
+
+@pytest.mark.parametrize("theorem_id", sorted(THREE_PARAM) + list(TWO_PARAM))
+def test_profile_matches_dense_tau2_scan(theorem_id):
+    th = THEOREMS[theorem_id]
+    assert len(PROFILE_T1) >= 45
+    profile = th.profile(np.array(PROFILE_T1))
+    for t1, value in zip(PROFILE_T1, profile.tolist()):
+        brute = float(objective_slice(theorem_id, t1, DENSE_TAU2).max())
+        assert value >= brute - 1e-12, (t1, value, brute)
+        if th.sign > 0:
+            assert value <= brute + 1e-6, (t1, value, brute)
+        else:
+            # an infimum inside the disk is a kink of |A + B tau2|, so the
+            # grid can miss it by the Lipschitz constant |B| <= 1 times the step
+            assert value <= brute + DENSE_STEP, (t1, value, brute)
+        # the profile is attained: its maximizer reproduces it exactly
+        pt = th.maximizer(t1)
+        at = objective_slice(theorem_id, t1, np.array([pt.tau2]), np.array([pt.tau3]))
+        assert abs(float(at.ravel()[0]) - value) <= 1e-12, (t1, value)
 
 
 def test_reports_carry_counts_and_points():
