@@ -211,6 +211,8 @@ def _filled(c: SchwarzCoeffs, count: int) -> SchwarzCoeffs:
     # Zero-fill the trailing coefficients a route formally consumes but the
     # functional provably never reads (they cancel out of the result).
     _need(c, count)
+    if c.c2 is not None and c.c3 is not None:
+        return c
     return SchwarzCoeffs(c.c1, c.c2 if c.c2 is not None else 0,
                          c.c3 if c.c3 is not None else 0, c.c4)
 

@@ -4,10 +4,11 @@ Three families live here.
 
 * ``Y(A, B, C)`` is the maximum of ``|A + B z + C z^2| + 1 - |z|^2`` over the
   closed unit disk, a seven-branch piecewise formula for real A, B, C.  Its
-  oracle scans a polar grid of the disk with golden-section polish.
+  oracle scans a polar grid of the upper half-disk (the objective is even in
+  arg z) in real arithmetic, then polishes by golden section.
 * Sharp bounds for ``|c2 - v c1^2|`` and ``|c3 - 2B c1 c2 + D c1^3|`` over
   positive-real-part coefficients, with grid oracles over the parameter
-  domain.
+  domain (for ``|c2 - v c1^2|`` a 1-D profile in tau1).
 * The two-sided bound for ``|B2 c1^2 + B3 c2| - |B1 c1|`` and the scalar
   profiles phi/Psi/Phi that the Hankel case analysis reduces to.
 
@@ -205,36 +206,67 @@ def disk_argmax(A: float, B: float, C: float, W: float) -> complex:
     return _circle_argmax(A, B, C)
 
 
-#: largest ``y_brute_force`` grid: its complex grid holds 3.6 grid^2 points
-#: (230 MB at the cap) and every numpy temporary of the scan is that size
+#: largest ``y_brute_force`` grid: its float64 half grid holds about
+#: 1.8 grid^2 points (58 MB at the cap) and the scan keeps two such arrays
 Y_GRID_MAX = 2000
+
+
+def _y_half_disk_scan(A: float, B: float, C: float, grid: int):
+    """:func:`grid_argmax` of the disk objective over ``grid`` radii by the
+    angles ``2 pi k / n``, ``0 <= k <= n // 2``, with ``n = int(3.6 grid)``.
+
+    For real A, B, C the objective is even in the angle, so these angles
+    reach every point of the full ``grid`` by ``n`` polar grid, or its mirror
+    image.  With ``re = A + B r cos t + C r^2 cos 2t`` and ``im = B r sin t +
+    C r^2 sin 2t`` the value is ``sqrt(re^2 + im^2) + 1 - r^2``.  A, B, C are
+    divided by a power of two ``scale`` first, so that the squares cannot
+    overflow; the modulus is multiplied back exactly.
+    """
+    scale = math.ldexp(1.0, max(0, math.frexp(max(abs(A), abs(B), abs(C)))[1] - 1))
+    a, b, c = A / scale, B / scale, C / scale
+
+    def objective(r, th):
+        cr = c * r
+        re = cr * np.cos(2.0 * th)
+        re += b * np.cos(th)
+        re *= r
+        re += a
+        im = cr * np.sin(2.0 * th)
+        im += b * np.sin(th)
+        im *= r
+        np.square(re, out=re)
+        re += np.square(im, out=im)
+        np.sqrt(re, out=re)
+        re *= scale
+        re += 1.0 - r * r
+        return re
+
+    n = int(3.6 * grid)
+    half = n // 2
+    axes = [(0.0, 1.0, grid, False), (0.0, 2.0 * np.pi * half / n, half + 1, False)]
+    return grid_argmax(objective, axes)
 
 
 def y_brute_force(yin: YInput, grid: int = 200) -> float:
     """Grid maximum of the disk objective; the oracle for y_closed_form.
 
-    Scans ``grid`` radii by ``3.6 * grid`` angles, then polishes the
-    incumbent with alternating golden-section sweeps in angle and radius.
-    ``grid`` must lie in [100, Y_GRID_MAX].
+    Scans ``grid`` radii by the ``int(3.6 * grid)`` equally spaced angles,
+    those of the upper half-disk only (see :func:`_y_half_disk_scan`), then
+    polishes the incumbent with alternating golden-section sweeps in angle
+    and radius.  ``grid`` must lie in [100, Y_GRID_MAX].
     """
     if not 100 <= grid <= Y_GRID_MAX:
         raise ValueError(f"grid must lie in [100, {Y_GRID_MAX}] points per axis")
     A, B, C = yin.A, yin.B, yin.C
-
-    def grid_objective(r, th):
-        z = polar(r, th)
-        return np.abs(A + B * z + C * z * z) + 1.0 - r * r
-
-    n_angles = int(3.6 * grid)
-    axes = [(0.0, 1.0, grid, False), (0.0, 2.0 * np.pi, n_angles, True)]
-    best, (r0, th0), _ = grid_argmax(grid_objective, axes)
+    best, (r0, th0), _ = _y_half_disk_scan(A, B, C, grid)
 
     def g(r, th):
-        w = r * complex(math.cos(th), math.sin(th))
-        return abs(A + B * w + C * w * w) + 1.0 - r * r
+        re = A + B * r * math.cos(th) + C * r * r * math.cos(2.0 * th)
+        im = B * r * math.sin(th) + C * r * r * math.sin(2.0 * th)
+        return math.hypot(re, im) + 1.0 - r * r
 
     dr = 2.0 / (grid - 1)
-    dth = 2.0 * (2.0 * np.pi / n_angles)
+    dth = 2.0 * (2.0 * np.pi / int(3.6 * grid))
     for _ in range(3):
         th0 = golden_max(lambda t: g(r0, t), th0 - dth, th0 + dth)
         r0 = golden_max(lambda r: g(r, th0), max(0.0, r0 - dr), min(1.0, r0 + dr))
@@ -260,15 +292,16 @@ def _check_samples(samples: int) -> None:
 def lemma23_empirical(v: float, samples: int = 48) -> float:
     """Grid maximum of |c2 - v c1^2|; approaches lemma23_bound from below.
 
-    ``samples`` (at least 2) sets the tau1 and angle grid sizes.
+    With c1 = 2t and u = 1 - t^2, ``c2 - v c1^2 = (2 - 4v) t^2 + 2u tau2``,
+    so its sup over the tau2 disk is ``|2t^2 - 4v t^2| + 2u``; that profile
+    is scanned at ``samples`` (at least 2) points of t in [0, 1].
     """
     _check_samples(samples)
 
-    def objective(t1, tau2):
-        c1, c2 = c12(t1, tau2)
-        return np.abs(c2 - v * c1 * c1)
+    def profile(t):
+        return np.abs(2.0 * t * t - 4.0 * v * t * t) + 2.0 * (1.0 - t * t)
 
-    return tau_argmax(objective, samples, max(2, samples // 4), samples + samples % 2)[0]
+    return grid_argmax(profile, [(0.0, 1.0, samples, False)])[0]
 
 
 @dataclass(frozen=True)

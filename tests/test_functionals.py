@@ -14,6 +14,7 @@ from coeffsharp.caratheodory import (
     schwarz_from_p,
 )
 from coeffsharp.functionals import (
+    FUNCTIONAL_NAMES,
     FunctionalValue,
     evaluate_functional,
     gamma_from_a,
@@ -275,6 +276,29 @@ def test_evaluate_functional_routes():
     assert fv.value == F(1, 2)
     fv = evaluate_functional("diff_gamma", SchwarzCoeffs(F(0), F(2)))
     assert fv.value == F(1, 4)
+
+
+def test_evaluate_functional_validates_full_coefficients_once(monkeypatch):
+    calls = []
+    validate = SchwarzCoeffs.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(SchwarzCoeffs, "__post_init__", counted)
+    full = SchwarzCoeffs(F(1, 2), F(-1, 3), F(1, 4))
+    point = CaratheodoryPoint(F(1, 2), F(1, 3), F(-1, 5))
+    for name in FUNCTIONAL_NAMES:
+        del calls[:]
+        evaluate_functional(name, full)
+        assert calls == [], name  # passed through, not rebuilt
+        del calls[:]
+        evaluate_functional(name, point)
+        assert len(calls) <= 1, name  # only coeffs_from_point builds one
+    del calls[:]
+    assert evaluate_functional("gamma1", SchwarzCoeffs(F(2))).value == F(1, 2)
+    assert len(calls) == 2  # the partial input and its zero-filled copy
 
 
 def test_evaluate_functional_rejects_unknown_or_partial():

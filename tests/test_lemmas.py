@@ -28,6 +28,7 @@ from coeffsharp.lemmas import (
     y_brute_force,
     y_closed_form,
     _lemma24_sup,
+    _y_half_disk_scan,
 )
 from coeffsharp._search import tau_argmax
 
@@ -139,6 +140,47 @@ def disk_objective(A, B, C, z, W=1.0):
     return abs(A + B * z + C * z * z) + W * (1 - abs(z) ** 2)
 
 
+def y_full_disk_grid_max(yin, grid):
+    """Oracle of the oracle: the disk objective in complex arithmetic on the
+    whole polar grid of ``grid`` radii by ``int(3.6 grid)`` angles."""
+    r = np.linspace(0.0, 1.0, grid)[:, None]
+    z = r * np.exp(1j * np.linspace(0.0, 2 * np.pi, int(3.6 * grid), endpoint=False))[None, :]
+    return float((np.abs(yin.A + yin.B * z + yin.C * z * z) + 1.0 - r * r).max())
+
+
+def y_oracle_inputs():
+    inputs = [yin for yin, _, _ in BRANCH_EXEMPLARS] + y_regime_inputs(np.random.default_rng(9), 14)
+    assert {y_branch(yin) for yin in inputs} == {b for _, b, _ in BRANCH_EXEMPLARS}
+    return inputs
+
+
+@pytest.mark.parametrize("grid", [200, 101])  # 720 and 363 (odd) angles
+def test_y_half_disk_scan_reaches_the_full_grid_maximum(grid):
+    half = int(3.6 * grid) // 2
+    for yin in y_oracle_inputs():
+        full = y_full_disk_grid_max(yin, grid)
+        # every grid point or its mirror image is scanned, and nothing else
+        scanned, _, evals = _y_half_disk_scan(yin.A, yin.B, yin.C, grid)
+        assert evals == grid * (half + 1)
+        assert abs(scanned - full) <= 1e-12, (yin, scanned, full)
+        brute = y_brute_force(yin, grid=grid)
+        assert full - 1e-12 <= brute <= y_closed_form(yin) + 1e-9, (yin, brute, full)
+
+
+def test_y_brute_force_does_not_overflow_on_large_input():
+    # |A + B z + C z^2| near 1e200 squares past the float range
+    for A, B, C in ((1e200, 0.0, 0.0), (0.0, -1e200, 0.0), (1e300, -1e300, 1e300)):
+        assert y_brute_force(YInput(A, B, C), grid=100) == pytest.approx(
+            abs(A) + abs(B) + abs(C), rel=1e-12)
+
+
+def test_y_argmax_attains_the_brute_force_maximum():
+    for yin in y_oracle_inputs():
+        at_argmax = disk_objective(yin.A, yin.B, yin.C, y_argmax(yin))
+        brute = y_brute_force(yin)
+        assert brute - 1e-12 <= at_argmax <= brute + 1e-4, (yin, y_branch(yin), at_argmax, brute)
+
+
 def test_y_argmax_attains_the_closed_form_on_every_branch():
     inputs = [yin for yin, _, _ in BRANCH_EXEMPLARS] + y_regime_inputs(np.random.default_rng(7), 300)
     inputs += [YInput(0.0, 0.0, 0.0), YInput(0.0, 1.0, 0.0), YInput(0.0, 0.0, -2.0),
@@ -224,6 +266,27 @@ def test_lemma23_empirical_approaches_bound(v):
     bound = lemma23_bound(v)
     assert emp <= bound + 1e-9
     assert emp >= bound - 1e-9  # extremes sit on grid corners
+
+
+def lemma23_grid_max(v, samples):
+    """Brute-force oracle of lemma23_empirical: |c2 - v c1^2| on a tau1 grid
+    by a polar tau2 grid of the disk."""
+    def objective(t1, tau2):
+        c1 = 2 * t1
+        c2 = 2 * t1 * t1 + 2 * (1 - t1 * t1) * tau2
+        return np.abs(c2 - v * c1 * c1)
+
+    return tau_argmax(objective, samples, max(2, samples // 4), samples + samples % 2)[0]
+
+
+def test_lemma23_empirical_dominates_the_two_dimensional_scan():
+    rng = np.random.default_rng(23)
+    for v in [0.25, 1.25, 0.5, -0.5, 2.0, 0.0, 1.0] + rng.uniform(-2, 3, 12).tolist():
+        for samples in (2, 5, 48, 49):
+            emp = lemma23_empirical(v, samples)
+            # the tau2 disk is eliminated exactly, so only the tau1 grid is left
+            assert emp >= lemma23_grid_max(v, samples) - 1e-12, (v, samples)
+            assert emp <= lemma23_bound(v) + 1e-9, (v, samples)
 
 
 @pytest.mark.parametrize("samples", [1, 0, -3])
