@@ -1,4 +1,5 @@
-"""The grid scan/refine engine behind every search, and its scalar helpers."""
+"""The one search engine, a scan of tau1 over [0, 1] with shrinking windows
+(every search is a profile of tau1), and its scalar helpers."""
 
 from __future__ import annotations
 
@@ -9,60 +10,32 @@ import numpy as np
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def polar(r, theta):
-    """``r e^{i theta}``, elementwise: a complex parameter from polar grids."""
-    return r * np.exp(1j * theta)
+def tau1_argmax(profile, count: int, rounds: int = 0, shrink: float = 0.35):
+    """Maximize ``profile`` over tau1 in [0, 1]: a full grid, then windows.
 
+    ``profile`` maps an array of tau1 values to an array of values.  The
+    first scan covers ``count`` equally spaced points of [0, 1].  Round k
+    then scans ``count`` points, plus the incumbent, on a window ``shrink**k``
+    wide centred on the incumbent and clamped to [0, 1]; a candidate replaces
+    the incumbent only when it is strictly larger.
 
-def _scan(objective, grids):
-    vals = objective(*np.ix_(*grids))
-    flat = int(np.argmax(vals))
-    idx = np.unravel_index(flat, vals.shape)
-    return float(vals.flat[flat]), tuple(float(g[i]) for g, i in zip(grids, idx)), vals.size
-
-
-def _window(center: float, axis, w: float) -> np.ndarray:
-    lo, hi, count, periodic = axis
-    half = w * (hi - lo) / 2.0
-    a, b = center - half, center + half
-    if not periodic:
-        a, b = max(a, lo), min(b, hi)
-    # the incumbent stays a grid member, so a round never loses it
-    return np.unique(np.append(np.linspace(a, b, count), center))
-
-
-def grid_argmax(objective, axes, rounds: int = 0, shrink: float = 0.35):
-    """Maximize ``objective`` on a product grid, then on shrinking windows.
-
-    Each axis is ``(lo, hi, count, periodic)``; a periodic axis leaves ``hi``
-    out of its grid, and its windows run past ``[lo, hi]`` instead of being
-    clamped to it.  ``objective`` gets one open-mesh array per axis (as from
-    ``np.ix_``) and returns its values on the whole product grid.  After the
-    full scan, round k scans ``count`` points per axis, plus the incumbent, on
-    a window of ``shrink**k`` times the axis span centred on the incumbent; a
-    candidate replaces the incumbent only when it is strictly larger.
-
-    Returns ``(value, point, evaluations)``: the incumbent value, its
-    coordinates and the number of grid points scanned.
+    Returns ``(value, tau1, evaluations)``: the incumbent value, its tau1 and
+    the number of points scanned.
     """
-    grids = [np.linspace(lo, hi, n, endpoint=not periodic) for lo, hi, n, periodic in axes]
-    value, point, evals = _scan(objective, grids)
-    for k in range(1, rounds + 1):
-        grids = [_window(c, axis, shrink ** k) for c, axis in zip(point, axes)]
-        cand, cand_point, n = _scan(objective, grids)
-        evals += n
-        if cand > value:
-            value, point = cand, cand_point
-    return value, point, evals
-
-
-def tau_argmax(objective, n_tau1: int, n_r: int, n_theta: int, rounds: int = 0,
-               shrink: float = 0.35):
-    """:func:`grid_argmax` of ``objective(tau1, tau2)`` over tau1 in [0, 1] and
-    tau2 on a polar grid of the closed unit disk; the point comes back as
-    ``(tau1, |tau2|, arg tau2)``."""
-    axes = [(0.0, 1.0, n_tau1, False), (0.0, 1.0, n_r, False), (0.0, 2.0 * np.pi, n_theta, True)]
-    return grid_argmax(lambda t1, r, th: objective(t1, polar(r, th)), axes, rounds, shrink)
+    grid = np.linspace(0.0, 1.0, count)
+    value, t1, evals = -math.inf, 0.0, 0
+    for k in range(rounds + 1):
+        if k:
+            half = shrink ** k / 2.0
+            # the incumbent stays a grid member, so a round never loses it
+            grid = np.unique(np.append(
+                np.linspace(max(t1 - half, 0.0), min(t1 + half, 1.0), count), t1))
+        vals = profile(grid)
+        i = int(np.argmax(vals))
+        evals += grid.size
+        if k == 0 or vals[i] > value:
+            value, t1 = float(vals[i]), float(grid[i])
+    return value, t1, evals
 
 
 def unit_direction(z: complex) -> complex:

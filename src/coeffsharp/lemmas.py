@@ -5,12 +5,13 @@ Three families live here.
 * ``Y(A, B, C)`` is the maximum of ``|A + B z + C z^2| + 1 - |z|^2`` over the
   closed unit disk, a seven-branch piecewise formula for real A, B, C.  Its
   oracle scans a polar grid of the upper half-disk (the objective is even in
-  arg z) in real arithmetic, then polishes by golden section.
-* Sharp bounds for ``|c2 - v c1^2|`` and ``|c3 - 2B c1 c2 + D c1^3|`` over
-  positive-real-part coefficients, with grid oracles over the parameter
-  domain (for ``|c2 - v c1^2|`` a 1-D profile in tau1).
-* The two-sided bound for ``|B2 c1^2 + B3 c2| - |B1 c1|`` and the scalar
-  profiles phi/Psi/Phi that the Hankel case analysis reduces to.
+  arg z) in real arithmetic, then polishes by golden section.  Through Y,
+  ``|A + B tau2 + C tau2^2 + W (1 - |tau2|^2) tau3|`` has a closed-form
+  maximum over (tau2, tau3) (``form_max``, ``form_argmax``).
+* Sharp bounds for ``|c2 - v c1^2|``, ``|c3 - 2B c1 c2 + D c1^3|`` and
+  ``|B2 c1^2 + B3 c2| - |B1 c1|`` over positive-real-part coefficients,
+  whose oracles scan profiles of tau1 alone, and the scalar profiles
+  phi/Psi/Phi that the Hankel case analysis reduces to.
 
 Boundary ties in piecewise conditions resolve to the first listed branch;
 the branches agree at the seams (see the seam tests).
@@ -21,12 +22,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import partial
 from numbers import Rational
 
 import numpy as np
 
-from ._search import golden_max, grid_argmax, polar, tau_argmax, unit_direction
+from ._search import golden_max, tau1_argmax, unit_direction
 from .caratheodory import c12, c3_parts
 
 #: positive root of 101 t^4 + 148 t^2 - 60, where the fallback branch of the
@@ -35,6 +35,8 @@ TAU_SPLIT = math.sqrt((4.0 * math.sqrt(721.0) - 74.0) / 101.0)
 
 #: interior maximizer of the profile 12 + 12 t^2 - 33 t^4 (~0.426401).
 PSI_ARGMAX = math.sqrt(2.0 / 11.0)
+
+_PSI_GRID, _PSI_ROUNDS, _PSI_SHRINK = 121, 10, 0.1  # psi_empirical's tau1 scans
 
 __all__ = [
     "TAU_SPLIT",
@@ -49,6 +51,10 @@ __all__ = [
     "y_brute_force",
     "disk_max",
     "disk_argmax",
+    "form_coefficients",
+    "form_max",
+    "form_tau3",
+    "form_argmax",
     "lemma23_bound",
     "lemma23_empirical",
     "lemma24_check",
@@ -104,9 +110,12 @@ def _y_pieces(A: float, B: float, C: float):
         return 1 + a + b * b / (4 * (1 - c)), "i.parabola"
     # A*C < 0 from here on, so C != 0.
     inner = -4 * A * C * (1 / (C * C) - 1)
-    if inner <= b * b and b < 2 * (1 - c):
+    bb, outer = b * b, 4 * (1 + c) * (1 + c)
+    if not all(map(math.isfinite, (bb, inner, outer))):  # inf could pick a wrong branch
+        raise ValueError("the branch conditions are not finite: the inputs are too large")
+    if inner <= bb and b < 2 * (1 - c):
         return 1 - a + b * b / (4 * (1 - c)), "ii.parabola-minus"
-    if b * b < min(4 * (1 + c) ** 2, inner):
+    if bb < min(outer, inner):
         return 1 + a + b * b / (4 * (1 + c)), "ii.parabola-plus"
     if c * (b + 4 * a) <= a * b:
         return a + b - c, "R.drop-c"
@@ -206,14 +215,41 @@ def disk_argmax(A: float, B: float, C: float, W: float) -> complex:
     return _circle_argmax(A, B, C)
 
 
+def form_coefficients(f) -> tuple:
+    """(A, B, C, W) with ``f(tau2, tau3) = A + B tau2 + C tau2^2 + W (1 - |tau2|^2)
+    tau3``, read off tau2 in {0, 1, -1} and tau3 in {0, 1}; exact if f is."""
+    f0, fp, fm = f(0, 0), f(1, 0), f(-1, 0)
+    return f0, (fp - fm) / 2, (fp + fm) / 2 - f0, f(0, 1) - f0
+
+
+def form_max(A, B, C, W) -> np.ndarray:
+    """Maximum of ``|A + B tau2 + C tau2^2 + W (1 - |tau2|^2) tau3|`` over the
+    closed bidisk, elementwise over real arrays: over tau3 it is ``|A + B tau2 +
+    C tau2^2| + |W| (1 - |tau2|^2)``, and over tau2 ``disk_max(A, B, C, |W|)``."""
+    return np.array([disk_max(*v) for v in zip(
+        A.tolist(), B.tolist(), C.tolist(), np.abs(W).tolist())])
+
+
+def form_tau3(A: float, B: float, C: float, W: float, tau2: complex) -> complex:
+    """The tau3 of the closed disk where the form peaks at a given tau2."""
+    head = A + B * tau2 + C * tau2 * tau2
+    return unit_direction(head if W >= 0 else -head)
+
+
+def form_argmax(A: float, B: float, C: float, W: float) -> tuple:
+    """``(tau2, tau3)`` where :func:`form_max` is attained, for scalar coefficients."""
+    tau2 = disk_argmax(A, B, C, abs(W))
+    return tau2, form_tau3(A, B, C, W, tau2)
+
+
 #: largest ``y_brute_force`` grid: its float64 half grid holds about
 #: 1.8 grid^2 points (58 MB at the cap) and the scan keeps two such arrays
 Y_GRID_MAX = 2000
 
 
 def _y_half_disk_scan(A: float, B: float, C: float, grid: int):
-    """:func:`grid_argmax` of the disk objective over ``grid`` radii by the
-    angles ``2 pi k / n``, ``0 <= k <= n // 2``, with ``n = int(3.6 grid)``.
+    """``(value, (r, angle), evaluations)``: the disk objective's grid maximum over
+    ``grid`` radii by the angles ``2 pi k / n``, ``0 <= k <= n // 2``, ``n = int(3.6 grid)``.
 
     For real A, B, C the objective is even in the angle, so these angles
     reach every point of the full ``grid`` by ``n`` polar grid, or its mirror
@@ -243,8 +279,10 @@ def _y_half_disk_scan(A: float, B: float, C: float, grid: int):
 
     n = int(3.6 * grid)
     half = n // 2
-    axes = [(0.0, 1.0, grid, False), (0.0, 2.0 * np.pi * half / n, half + 1, False)]
-    return grid_argmax(objective, axes)
+    r, th = np.linspace(0.0, 1.0, grid), np.linspace(0.0, 2.0 * np.pi * half / n, half + 1)
+    vals = objective(r[:, None], th[None, :])
+    i, j = divmod(int(np.argmax(vals)), half + 1)
+    return float(vals[i, j]), (float(r[i]), float(th[j])), vals.size
 
 
 def y_brute_force(yin: YInput, grid: int = 200) -> float:
@@ -301,7 +339,7 @@ def lemma23_empirical(v: float, samples: int = 48) -> float:
     def profile(t):
         return np.abs(2.0 * t * t - 4.0 * v * t * t) + 2.0 * (1.0 - t * t)
 
-    return grid_argmax(profile, [(0.0, 1.0, samples, False)])[0]
+    return tau1_argmax(profile, samples)[0]
 
 
 @dataclass(frozen=True)
@@ -311,40 +349,34 @@ class Lemma24Report:
     at: tuple
 
 
-def _lemma24_parts(B, D, t1, tau2):
-    """(head, w3) with c3 - 2B c1 c2 + D c1^3 = head + w3 tau3, elementwise."""
-    c1, c2 = c12(t1, tau2)
-    head, w3 = c3_parts(t1, tau2)
-    return head - 2.0 * B * c1 * c2 + D * c1 ** 3, w3
+def _lemma24_form(B: float, D: float, t1) -> tuple:
+    """(A, B', C, W) of c3 - 2B c1 c2 + D c1^3 in tau2 and tau3, at tau1 (elementwise)."""
+    def value(tau2, tau3):
+        c1, c2 = c12(t1, tau2)
+        head, w = c3_parts(t1, tau2)
+        return head + w * tau3 - 2.0 * B * c1 * c2 + D * c1 ** 3
 
-
-def _lemma24_sup(B, D, t1, tau2):
-    """Sup of |c3 - 2B c1 c2 + D c1^3| over the tau3 disk: |head| + w3."""
-    head, w3 = _lemma24_parts(B, D, t1, tau2)
-    return np.abs(head) + w3
+    return form_coefficients(value)
 
 
 def lemma24_check(B: float, D: float, samples: int = 21) -> Lemma24Report:
     """Empirical maximum of |c3 - 2B c1 c2 + D c1^3|, checked against 2.
 
-    The functional is ``|head(tau1, tau2) + w3 tau3|`` with a real weight
-    ``w3 >= 0``, so its sup over the tau3 disk is ``|head| + w3``, attained
-    at ``tau3 = head/|head|`` (1 when head = 0); only (tau1, tau2) is
-    scanned.  ``at`` holds the maximizing triple.
+    It is ``A + B' tau2 + C tau2^2 + W (1 - |tau2|^2) tau3`` with real A, B',
+    C and ``W = 2 (1 - tau1^2)``, so its maximum over (tau2, tau3) is
+    :func:`form_max`, a profile of tau1 scanned at ``samples`` points of
+    [0, 1].  ``at`` holds the maximizing triple, (tau2, tau3) exactly.
 
     Requires the hypothesis 0 <= B <= 1 and B(2B - 1) <= D <= B; anything
-    else is rejected, as is ``samples`` (the tau1 grid size) below 2.
+    else is rejected, as is ``samples`` below 2.
     """
     _check_samples(samples)
     if not (0 <= B <= 1):
         raise ValueError("hypothesis violated: need 0 <= B <= 1")
     if not (B * (2 * B - 1) <= D <= B):
         raise ValueError("hypothesis violated: need B(2B - 1) <= D <= B")
-    best, (t1, r, th), _ = tau_argmax(partial(_lemma24_sup, B, D), samples,
-                                      max(2, (samples + 2) // 3), 2 * samples)
-    tau2 = complex(polar(r, th))
-    head, _ = _lemma24_parts(B, D, np.array([t1]), np.array([tau2]))
-    return Lemma24Report(best, best <= 2.0 + 1e-9, (t1, tau2, unit_direction(complex(head[0]))))
+    best, t1, _ = tau1_argmax(lambda t: form_max(*_lemma24_form(B, D, t)), samples)
+    return Lemma24Report(best, best <= 2.0 + 1e-9, (t1, *form_argmax(*_lemma24_form(B, D, t1))))
 
 
 def psi_plus_bound(pin: PsiInput) -> float:
@@ -364,8 +396,7 @@ def psi_minus_bound(pin: PsiInput) -> float:
     return _finite(2 * b3 + b1 * b1 / (b4 + 2 * b3))
 
 
-def psi_empirical(pin: PsiInput, n_tau1: int = 121, rounds: int = 10,
-                  shrink: float = 0.1):
+def psi_empirical(pin: PsiInput):
     """Extremes of |B2 c1^2 + B3 c2| - |B1 c1| over the class, as a 1-D search.
 
     With c1 = 2t and u = 1 - t^2 the modulus is ``|(4 B2 + 2 B3) t^2 + 2 B3 u
@@ -382,9 +413,8 @@ def psi_empirical(pin: PsiInput, n_tau1: int = 121, rounds: int = 10,
     def negated_bottom(t):
         return 2 * b1 * t - np.maximum(0.0, b4 * t * t - 2 * b3 * (1 - t * t))
 
-    axes = [(0.0, 1.0, n_tau1, False)]
-    vmax = grid_argmax(top, axes, rounds, shrink)[0]
-    vmin = -grid_argmax(negated_bottom, axes, rounds, shrink)[0]
+    vmax = tau1_argmax(top, _PSI_GRID, _PSI_ROUNDS, _PSI_SHRINK)[0]
+    vmin = -tau1_argmax(negated_bottom, _PSI_GRID, _PSI_ROUNDS, _PSI_SHRINK)[0]
     return vmin, vmax
 
 

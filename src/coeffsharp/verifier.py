@@ -19,11 +19,11 @@ then eliminated in closed form:
   ``|A| + |B|`` and the inf ``max(0, |A| - |B|)``;
 * otherwise the sup over tau3 is ``|A + B tau2 + C tau2^2| + |W| (1 -
   |tau2|^2)``, and its sup over tau2 is ``|W| Y(A/|W|, B/|W|, C/|W|)`` by
-  Lemma Y (``lemmas.disk_max``), the maximum modulus on the circle where
+  Lemma Y (``lemmas.form_max``), the maximum modulus on the circle where
   W = 0.
 
 The moduli differences subtract ``|offset|``, a function of tau1 alone.
-``_search.grid_argmax`` scans the profile over tau1 in [0, 1] (one full grid,
+``_search.tau1_argmax`` scans the profile over tau1 in [0, 1] (one full grid,
 then shrinking windows around the incumbent), so ``evaluations`` counts
 tau1 points, and the reported maximizer carries the exact maximizing tau2
 and tau3.  ``SearchConfig.grid_r`` and ``grid_theta`` are accepted and
@@ -39,11 +39,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
-from ._search import grid_argmax, unit_direction
+from ._search import tau1_argmax
 from .caratheodory import (
     CaratheodoryPoint,
     SchwarzCoeffs,
@@ -53,7 +53,7 @@ from .caratheodory import (
     mag_squared,
 )
 from .functionals import FunctionalValue, evaluate_functional
-from .lemmas import disk_argmax, disk_max
+from .lemmas import form_argmax, form_coefficients, form_max, form_tau3
 
 __all__ = [
     "THEOREMS",
@@ -131,12 +131,6 @@ def _value(name: str, t1, tau2, tau3):
     return evaluate_functional(name, SchwarzCoeffs(c1, c2, head + w * tau3)).value
 
 
-def _abcw(name: str, t1: Fraction) -> tuple:
-    """(A, B, C, W) at a rational tau1, read off tau2 in {0, 1, -1} and tau3 in {0, 1}."""
-    f0, fp, fm = _value(name, t1, 0, 0), _value(name, t1, 1, 0), _value(name, t1, -1, 0)
-    return f0, (fp - fm) / 2, (fp + fm) / 2 - f0, _value(name, t1, 0, 1) - f0
-
-
 #: tau1 nodes of the interpolation (every coefficient has degree <= 4 in
 #: tau1), and the node that checks the degree bound
 _NODES = tuple(Fraction(k, 4) for k in range(5))
@@ -167,11 +161,12 @@ def _tau1_polynomials(name: str) -> tuple:
     and the point (tau2, tau3) = (1/2, 1/2) the form in tau2 and tau3.
     """
     basis = _lagrange_basis(_NODES)
+    *at_nodes, at_check = (form_coefficients(partial(_value, name, t)) for t in (*_NODES, _CHECK))
     polys = tuple(tuple(sum(y * b[k] for y, b in zip(column, basis)) for k in range(len(_NODES)))
-                  for column in zip(*(_abcw(name, t) for t in _NODES)))
+                  for column in zip(*at_nodes))
     A, B, C, W = (_horner(p, _CHECK) for p in polys)
     h = Fraction(1, 2)
-    if ((A, B, C, W) != _abcw(name, _CHECK)
+    if ((A, B, C, W) != at_check
             or A + B * h + C * h * h + W * (1 - h * h) * h != _value(name, _CHECK, h, h)):
         raise ValueError(f"{name} is not A + B tau2 + C tau2^2 + W (1 - |tau2|^2) tau3 "
                          "with coefficients of degree <= 4 in tau1")
@@ -223,8 +218,7 @@ class Theorem:
         function of tau1 alone that the search maximizes."""
         A, B, C, W, offset = (np.polyval(p, t1) for p in self._coefficients)
         if not self._affine:
-            modulus = np.array([disk_max(*v) for v in zip(
-                A.tolist(), B.tolist(), C.tolist(), np.abs(W).tolist())])
+            modulus = form_max(A, B, C, W)
         elif self.sign > 0:
             modulus = np.abs(A) + np.abs(B)
         else:
@@ -241,16 +235,13 @@ class Theorem:
 
     def maximizing_tau3(self, t1: float, tau2: complex) -> complex:
         """The tau3 where ``|head + W (1 - |tau2|^2) tau3|`` peaks over the closed disk."""
-        A, B, C, W, _ = self._at(t1)
-        head = A + B * tau2 + C * tau2 * tau2
-        return unit_direction(head if W >= 0 else -head)
+        return form_tau3(*self._at(t1)[:4], tau2)
 
     def maximizer(self, t1: float) -> CaratheodoryPoint:
         """The exact (tau2, tau3) where ``profile`` is attained at tau1."""
         A, B, C, W, _ = self._at(t1)
         if not self._affine:
-            tau2 = disk_argmax(A, B, C, abs(W))
-            return CaratheodoryPoint(t1, tau2, self.maximizing_tau3(t1, tau2))
+            return CaratheodoryPoint(t1, *form_argmax(A, B, C, W))
         if B == 0:
             tau2 = 0.0
         elif self.sign > 0:  # B tau2 lines up with A
@@ -324,8 +315,8 @@ def verify(theorem_id: str, cfg: SearchConfig = SearchConfig()) -> VerificationR
     An exceeded bound comes back as a failed report, never an exception.
     """
     th = _theorem(theorem_id)
-    value, (t1,), evals = grid_argmax(th.profile, [(0.0, 1.0, cfg.grid_tau1, False)],
-                                      cfg.refinement_rounds, cfg.shrink_factor)
+    value, t1, evals = tau1_argmax(th.profile, cfg.grid_tau1, cfg.refinement_rounds,
+                                   cfg.shrink_factor)
     empirical = th.sign * value
     gap = th.sign * (th.bound.value - empirical)
     return VerificationReport(

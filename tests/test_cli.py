@@ -180,9 +180,10 @@ def test_lemma_l41_rejects_non_finite(capsys, bad):
     ("L23", "--", "-1e308"),
     ("L41", "plus", "1e308", "1e308", "1e308"),
     ("L41", "minus", "1e308", "1e308", "1e308"),
+    ("Y", "--", "-3e160", "2e160", "1e160"),
 ])
 def test_lemma_rejects_overflowing_results(capsys, argv):
-    # finite inputs whose closed form overflows to inf or nan
+    # finite inputs whose closed form, or a branch condition of Y, overflows
     code, out, err = run(capsys, "lemma", *argv)
     assert code == 2 and out == "" and "finite" in err
 

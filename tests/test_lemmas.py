@@ -23,14 +23,16 @@ from coeffsharp.lemmas import (
     Y_GRID_MAX,
     disk_argmax,
     disk_max,
+    form_argmax,
+    form_max,
     y_argmax,
     y_branch,
     y_brute_force,
     y_closed_form,
-    _lemma24_sup,
+    _PSI_GRID,
+    _lemma24_form,
     _y_half_disk_scan,
 )
-from coeffsharp._search import tau_argmax
 
 # one exemplar per branch of the disk maximum, all double checked against the
 # brute-force oracle below
@@ -268,15 +270,30 @@ def test_lemma23_empirical_approaches_bound(v):
     assert emp >= bound - 1e-9  # extremes sit on grid corners
 
 
+def polar_grid(n_r, n_theta):
+    """Flat polar grid of the closed unit disk: n_r radii (0 and 1 included)
+    by n_theta angles (0 included, 2 pi left out)."""
+    r = np.linspace(0.0, 1.0, n_r)[:, None]
+    return (r * np.exp(1j * np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False))[None, :]).ravel()
+
+
+def dense_tau_grid_extremes(objective, t1s, n_r, n_theta):
+    """(min, max) of ``objective(tau1, tau2)`` over the tau1 points ``t1s``
+    by a polar tau2 grid: a plain dense (tau1, |tau2|, arg tau2) grid."""
+    vals = objective(np.asarray(t1s)[:, None], polar_grid(n_r, n_theta)[None, :])
+    return float(vals.min()), float(vals.max())
+
+
 def lemma23_grid_max(v, samples):
-    """Brute-force oracle of lemma23_empirical: |c2 - v c1^2| on a tau1 grid
-    by a polar tau2 grid of the disk."""
+    """Brute-force oracle of lemma23_empirical: |c2 - v c1^2| on its own tau1
+    grid by a polar tau2 grid of the disk."""
     def objective(t1, tau2):
         c1 = 2 * t1
         c2 = 2 * t1 * t1 + 2 * (1 - t1 * t1) * tau2
         return np.abs(c2 - v * c1 * c1)
 
-    return tau_argmax(objective, samples, max(2, samples // 4), samples + samples % 2)[0]
+    t1s = np.linspace(0.0, 1.0, samples)
+    return dense_tau_grid_extremes(objective, t1s, max(2, samples // 4), samples + samples % 2)[1]
 
 
 def test_lemma23_empirical_dominates_the_two_dimensional_scan():
@@ -327,22 +344,22 @@ def test_lemma24_over_hypothesis_region():
             assert report.passed, (B, D, report.empirical_max)
 
 
-# brute-force oracle of the tau3 reduction: an explicit grid of 41 radii
-# (1 included) by 144 angles, spaced 2 pi / 144, so the grid maximum is at
-# least cos(pi / 144) times the closed-form sup over the disk
-L24_TAU3 = (np.linspace(0.0, 1.0, 41)[:, None]
-            * np.exp(1j * np.linspace(0.0, 2 * np.pi, 144, endpoint=False))[None, :]).ravel()
+# brute-force tau3 grid: 41 radii (1 included) by 144 angles, spaced
+# 2 pi / 144, so the grid maximum over tau3 is at least cos(pi / 144) times
+# the sup over the disk
+L24_TAU3 = polar_grid(41, 144)
 L24_GRID_SLACK = 1.0 - math.cos(math.pi / 144)
 
 
-def lemma24_dense(B, D, t1, tau2):
-    """|c3 - 2B c1 c2 + D c1^3| at (t1, tau2) for every tau3 of L24_TAU3,
+def lemma24_dense(B, D, t1, tau2, tau3=L24_TAU3):
+    """|c3 - 2B c1 c2 + D c1^3| at t1, as a (len(tau2), len(tau3)) matrix,
     with (c1, c2, c3) from the coefficient map written out directly."""
+    tau2 = np.atleast_1d(tau2)[:, None]
     u = 1.0 - t1 * t1
     c1 = 2.0 * t1
     c2 = 2.0 * t1 * t1 + 2.0 * u * tau2
     c3 = (2.0 * t1 ** 3 + 4.0 * u * t1 * tau2 - 2.0 * u * t1 * tau2 * tau2
-          + 2.0 * u * (1.0 - abs(tau2) ** 2) * L24_TAU3)
+          + 2.0 * u * (1.0 - abs(tau2) ** 2) * tau3[None, :])
     return np.abs(c3 - 2.0 * B * c1 * c2 + D * c1 ** 3)
 
 
@@ -351,32 +368,38 @@ def lemma24_weights(rng):
     return B, float(rng.uniform(B * (2 * B - 1), B))
 
 
-def test_lemma24_tau3_sup_matches_dense_tau3_scan():
+# dense (tau2, tau3) grid of the pointwise L24 check; the modulus peaks on
+# the circle |tau3| = 1, so tau3 runs over the circle only
+L24_DENSE_TAU2 = polar_grid(31, 120)
+L24_CIRCLE = np.exp(1j * np.linspace(0.0, 2 * np.pi, 144, endpoint=False))
+
+
+def test_lemma24_profile_matches_dense_tau2_tau3_scan():
     rng = np.random.default_rng(24)
-    for _ in range(200):
-        B, D = lemma24_weights(rng)
-        t1 = float(rng.uniform(0.0, 1.0))
-        tau2 = complex(math.sqrt(rng.uniform(0.0, 1.0))
-                       * np.exp(1j * rng.uniform(0.0, 2 * np.pi)))
-        # the same function lemma24_check scans
-        reduced = float(_lemma24_sup(B, D, t1, np.array([tau2]))[0])
-        brute = float(lemma24_dense(B, D, t1, tau2).max())
-        assert reduced >= brute - 1e-12, (B, D, t1, tau2)
-        assert reduced - brute <= reduced * L24_GRID_SLACK + 1e-12, (B, D, t1, tau2)
+    cases = [(*lemma24_weights(rng), float(rng.uniform(0.0, 1.0))) for _ in range(40)]
+    cases += [(*lemma24_weights(rng), t1) for t1 in (0.0, 1.0, 0.5)]
+    for B, D, t1 in cases:
+        # the profile lemma24_check scans, at one tau1
+        profile = float(form_max(*_lemma24_form(B, D, np.array([t1])))[0])
+        brute = float(lemma24_dense(B, D, t1, L24_DENSE_TAU2, L24_CIRCLE).max())
+        assert profile >= brute - 1e-12, (B, D, t1, profile, brute)
+        # the profile is attained: its maximizer reproduces it, so it does not
+        # exceed the true maximum either
+        tau2, tau3 = form_argmax(*_lemma24_form(B, D, t1))
+        c = coeffs_from_point(CaratheodoryPoint(t1, tau2, tau3))
+        at_value = abs(c.c3 - 2 * B * c.c1 * c.c2 + D * c.c1 ** 3)
+        assert abs(at_value - profile) <= 1e-12, (B, D, t1, at_value, profile)
 
 
 def test_lemma24_check_matches_dense_scan_and_reports_its_maximizer():
     rng = np.random.default_rng(25)
     samples = 9
-    t1s = np.linspace(0.0, 1.0, samples)
-    r = np.linspace(0.0, 1.0, max(2, (samples + 2) // 3))
-    th = np.linspace(0.0, 2.0 * np.pi, 2 * samples, endpoint=False)
-    tau2s = (r[:, None] * np.exp(1j * th)[None, :]).ravel()
+    tau2s = polar_grid(max(2, (samples + 2) // 3), 2 * samples)
     for _ in range(10):
         B, D = lemma24_weights(rng)
         report = lemma24_check(B, D, samples=samples)
-        brute = max(float(lemma24_dense(B, D, float(t1), complex(t2)).max())
-                    for t1 in t1s for t2 in tau2s)
+        brute = max(float(lemma24_dense(B, D, float(t1), tau2s).max())
+                    for t1 in np.linspace(0.0, 1.0, samples))
         assert report.empirical_max >= brute - 1e-12
         assert report.empirical_max - brute <= report.empirical_max * L24_GRID_SLACK + 1e-12
         c = coeffs_from_point(CaratheodoryPoint(*report.at))
@@ -432,18 +455,15 @@ def test_psi_empirical_within_and_near_bounds(pin):
     assert lo <= -minus + 1e-3
 
 
-def psi_grid_extremes(pin, n_tau1=121, n_r=9, n_theta=96, rounds=5, shrink=0.3):
-    """Brute-force oracle of psi_empirical: the functional on a tau1 grid by a
-    polar tau2 grid, refined around both incumbents."""
+def psi_grid_extremes(pin):
+    """Brute-force oracle of psi_empirical: the functional on the tau1 points
+    of psi_empirical's first scan by a polar tau2 grid."""
     def value(t1, tau2):
         c1 = 2 * t1
         c2 = 2 * t1 * t1 + 2 * (1 - t1 * t1) * tau2
         return np.abs(pin.B2 * c1 * c1 + pin.B3 * c2) - pin.B1 * np.abs(c1)
 
-    grid = (n_tau1, n_r, n_theta, rounds, shrink)
-    vmax = tau_argmax(value, *grid)[0]
-    vmin = -tau_argmax(lambda t1, tau2: -value(t1, tau2), *grid)[0]
-    return vmin, vmax
+    return dense_tau_grid_extremes(value, np.linspace(0.0, 1.0, _PSI_GRID), 9, 96)
 
 
 def psi_weights(rng):

@@ -1,87 +1,82 @@
-"""The grid scan/refine engine: full-grid argmax, periodic windows, rounds."""
-
-import math
+"""The tau1 scan/refine engine: full-grid argmax, clamped windows, rounds."""
 
 import numpy as np
 import pytest
 
-from coeffsharp._search import grid_argmax
+from coeffsharp._search import tau1_argmax
 
 
-def full_grids(axes):
-    return [np.linspace(lo, hi, n, endpoint=not periodic) for lo, hi, n, periodic in axes]
+def random_profile(rng):
+    """A random sum of cosines of tau1 (ties are improbable)."""
+    terms = rng.uniform(0.5, 30, (3, 3))
+
+    def profile(t1):
+        return sum(a * np.cos(b * t1 + c) for a, b, c in terms)
+
+    return profile
 
 
-def random_separable(rng):
-    """Random axes and a sum of per-axis cosines (ties are improbable)."""
-    dims = int(rng.integers(1, 4))
-    axes, terms = [], []
-    for _ in range(dims):
-        lo = float(rng.uniform(-2, 1))
-        axes.append((lo, lo + float(rng.uniform(0.5, 3)), int(rng.integers(2, 12)),
-                     bool(rng.integers(0, 2))))
-        terms.append(tuple(rng.uniform(0.5, 3, 3)))
+def recording(profile, grids):
+    def scan(t1):
+        grids.append(np.array(t1))
+        return profile(t1)
 
-    def objective(*xs):
-        return sum(a * np.cos(b * x + c) for (a, b, c), x in zip(terms, xs))
-
-    return objective, axes
+    return scan
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_no_rounds_is_the_full_grid_argmax(seed):
-    objective, axes = random_separable(np.random.default_rng(seed))
-    grids = full_grids(axes)
-    vals = objective(*np.meshgrid(*grids, indexing="ij"))
-    value, point, evals = grid_argmax(objective, axes)
+    rng = np.random.default_rng(seed)
+    profile, count = random_profile(rng), int(rng.integers(2, 40))
+    grid = np.linspace(0.0, 1.0, count)
+    vals = profile(grid)
+    value, t1, evals = tau1_argmax(profile, count)
     assert value == np.max(vals)
-    idx = np.unravel_index(np.argmax(vals), vals.shape)
-    assert point == tuple(float(g[i]) for g, i in zip(grids, idx))
-    assert evals == vals.size
-
-
-def test_periodic_axis_wraps_below_its_start():
-    # the peak at -0.01 lies outside [0, 2 pi); a clamped window never gets there
-    def objective(theta):
-        return np.cos(theta + 0.01)
-
-    value, (theta,), _ = grid_argmax(objective, [(0.0, 2 * math.pi, 16, True)], rounds=6)
-    assert theta < 0
-    assert abs(theta + 0.01) <= 1e-3
-    assert value == pytest.approx(1.0, abs=1e-6)
-    _, (clamped,), _ = grid_argmax(objective, [(0.0, 2 * math.pi, 16, False)], rounds=6)
-    assert clamped >= 0
+    assert t1 == grid[np.argmax(vals)]
+    assert evals == count
 
 
 def test_incumbent_never_decreases_across_rounds():
-    def rugged(x, y):
-        return np.sin(37 * x) * np.cos(23 * y) + 0.1 * x
+    def rugged(t1):
+        return np.sin(37 * t1) * np.cos(23 * t1 * t1) + 0.1 * t1
 
-    axes = [(0.0, 1.0, 9, False), (0.0, 2 * math.pi, 7, True)]
-    values = [grid_argmax(rugged, axes, rounds=k, shrink=0.5)[0] for k in range(8)]
+    values = [tau1_argmax(rugged, 9, rounds=k, shrink=0.5)[0] for k in range(8)]
     assert values == sorted(values)
     assert values[-1] > values[0]
 
 
 def test_ties_keep_the_first_incumbent():
-    def flat(x, y):
-        return np.zeros(np.broadcast_shapes(x.shape, y.shape))
+    def flat(t1):
+        return np.zeros_like(t1)
 
-    axes = [(0.25, 1.0, 5, False), (0.0, 2 * math.pi, 6, True)]
-    value, point, _ = grid_argmax(flat, axes, rounds=4)
-    assert (value, point) == (0.0, (0.25, 0.0))
+    assert tau1_argmax(flat, 5, rounds=4)[:2] == (0.0, 0.0)
+    # a plateau from 0.43: the full grid first reaches it at 0.5, and the
+    # points of later windows that reach it (0.45, ...) only tie
+    plateau = tau1_argmax(lambda t1: np.minimum(t1, 0.43), 11, rounds=6, shrink=0.5)
+    assert plateau[:2] == (0.43, 0.5)
+
+
+@pytest.mark.parametrize("peak", [0.0, 1.0, 0.02, 0.97])
+def test_windows_stay_inside_the_unit_interval(peak):
+    grids = []
+    value, t1, _ = tau1_argmax(recording(lambda t: -np.abs(t - peak), grids), 7, rounds=6,
+                               shrink=0.6)
+    assert len(grids) == 7
+    for grid in grids:
+        assert grid.min() >= 0.0 and grid.max() <= 1.0
+        assert np.all(np.diff(grid) > 0)
+    if peak in (0.0, 1.0):  # a window at the edge is clamped, not shifted
+        assert all(peak in grid for grid in grids)
+    assert abs(t1 - peak) <= 0.6 ** 6 / 6
+    assert value == -abs(t1 - peak)
 
 
 def test_evaluations_count_every_scanned_point():
-    sizes = []
-
-    def objective(x, y, z):
-        vals = np.cos(3 * x) + np.sin(2 * y) * np.cos(z)
-        sizes.append(vals.size)
-        return vals
-
-    axes = [(0.0, 1.0, 11, False), (0.0, 1.0, 5, False), (0.0, 2 * math.pi, 8, True)]
-    _, _, evals = grid_argmax(objective, axes, rounds=5, shrink=0.4)
-    assert len(sizes) == 6
-    assert sizes[0] == 11 * 5 * 8
-    assert evals == sum(sizes)
+    grids = []
+    _, _, evals = tau1_argmax(recording(lambda t: np.cos(3 * t) * np.sin(7 * t), grids), 11,
+                              rounds=5, shrink=0.4)
+    assert len(grids) == 6
+    assert grids[0].size == 11
+    # each round scans 11 points, plus the incumbent when it is off them
+    assert all(11 <= grid.size <= 12 for grid in grids[1:])
+    assert evals == sum(grid.size for grid in grids)
