@@ -109,10 +109,16 @@ def _y_pieces(A: float, B: float, C: float):
             return a + b + c, "i.sum"
         return 1 + a + b * b / (4 * (1 - c)), "i.parabola"
     # A*C < 0 from here on, so C != 0.
-    inner = -4 * A * C * (1 / (C * C) - 1)
+    try:
+        inner = -4 * A * C * (1 / (C * C) - 1)
+    except ZeroDivisionError:  # C*C underflows to 0
+        inner = math.nan
     bb, outer = b * b, 4 * (1 + c) * (1 + c)
-    if not all(map(math.isfinite, (bb, inner, outer))):  # inf could pick a wrong branch
-        raise ValueError("the branch conditions are not finite: the inputs are too large")
+    if not all(map(math.isfinite, (bb, inner, outer))):
+        if c < 1:  # 1/(C*C) overflows long before inner = 4a(1 - c^2)/c does
+            inner = 4 * (a / c) * ((1 - c) * (1 + c))
+        if _wide_branch(a, b, c, inner, bb, outer) == "R.sqrt":  # 4*A*C may overflow
+            return (c + a) * math.hypot(1, b / (2 * math.sqrt(a) * math.sqrt(c))), "R.sqrt"
     if inner <= bb and b < 2 * (1 - c):
         return 1 - a + b * b / (4 * (1 - c)), "ii.parabola-minus"
     if bb < min(outer, inner):
@@ -122,6 +128,27 @@ def _y_pieces(A: float, B: float, C: float):
     if a * b <= c * (b - 4 * a):
         return -a + b + c, "R.drop-a"
     return (c + a) * math.sqrt(1 - b * b / (4 * A * C)), "R.sqrt"
+
+
+def _wide_branch(a, b, c, inner, bb, outer) -> str:
+    """The branch the A*C < 0 ladder of :func:`_y_pieces` takes when some of its
+    quantities are not finite, by the same comparisons in the same order.
+
+    An infinity on one side of a comparison still decides it rightly; a NaN,
+    or an infinity on both sides, decides nothing, and the input is rejected.
+    """
+    ab = a * b
+    for lhs, rhs, picks, branch in (
+            (inner, bb, inner <= bb and b < 2 * (1 - c), "ii.parabola-minus"),
+            (bb, min(outer, inner), bb < min(outer, inner), "ii.parabola-plus"),
+            (c * (b + 4 * a), ab, c * (b + 4 * a) <= ab, "R.drop-c"),
+            (ab, c * (b - 4 * a), ab <= c * (b - 4 * a), "R.drop-a")):
+        if math.isnan(lhs) or math.isnan(rhs) or (math.isinf(lhs) and math.isinf(rhs)):
+            raise ValueError("a branch condition compares two values that are not finite: "
+                             "the inputs are too large")
+        if picks:
+            return branch
+    return "R.sqrt"
 
 
 def _finite(value: float) -> float:
@@ -186,7 +213,11 @@ def _circle_argmax(A: float, B: float, C: float) -> complex:
     With x = cos(arg z) the squared modulus is the quadratic
     ``((A + C) x + B)^2 + (C - A)^2 (1 - x^2)`` in x on [-1, 1], with leading
     coefficient 4AC: its maximum is at an end or, when AC < 0, at the vertex.
+    The maximizer is scale-free, so A, B, C are divided by a power of two
+    first, as in :func:`_y_half_disk_scan`, and the squares cannot overflow.
     """
+    scale = math.ldexp(1.0, max(0, math.frexp(max(abs(A), abs(B), abs(C)))[1] - 1))
+    A, B, C = A / scale, B / scale, C / scale
     xs = [-1.0, 1.0]
     if A * C < 0:
         vertex = -(A + C) * B / (4 * A * C)

@@ -10,6 +10,13 @@ when two orders meet).  A series is homogeneous in one scalar mode:
 
 Series of different modes never combine.  All values are immutable; every
 operation is a pure function.
+
+The extremal functions are built by :func:`starlike_from_schwarz`, whose cost
+is three :func:`exp_series` recurrences.  Each forms its weights ``j a_j``
+once per call, and the final factor ``z`` is a shift of coefficients, not a
+series product.  Zero terms inside the recurrence are still summed: the
+terms and their order are those of the plain recurrence, and so are the
+results, bit for bit.
 """
 
 from __future__ import annotations
@@ -220,16 +227,20 @@ def exp_series(a: TruncatedSeries) -> TruncatedSeries:
     """``exp(a)`` for a series with zero constant term.
 
     Computed through the recurrence ``(exp a)' = a' * exp a`` with unit
-    constant term, so rational mode stays exact.
+    constant term, ``k e_k = sum_{j=1..k} (j a_j) e_{k-j}`` (Knuth, TAOCP
+    vol. 2, 4.7), so rational mode stays exact.  The weights ``j a_j`` are
+    formed once, before the loop over ``k``; the terms are summed in order
+    of increasing ``j``, zero terms included.
     """
     if a.coeffs[0] != 0:
         raise ValueError("exp_series requires a zero constant term")
-    n = a.order
+    weights = [j * c for j, c in enumerate(a.coeffs)]
+    zero = _coerce(0, a.mode)
     out = [_coerce(1, a.mode)]
-    for k in range(1, n + 1):
-        acc = _coerce(0, a.mode)
-        for j in range(1, k + 1):
-            acc += j * a.coeffs[j] * out[k - j]
+    for k in range(1, a.order + 1):
+        acc = zero
+        for w, e in zip(weights[1:k + 1], reversed(out)):
+            acc += w * e
         out.append(acc / k)
     return TruncatedSeries(tuple(out), a.mode)
 
@@ -305,13 +316,14 @@ def starlike_from_schwarz(omega: TruncatedSeries, order: int) -> TruncatedSeries
 
     Returns ``f(z) = z * exp( integral of (omega(t) + cosh(omega(t)) - 1)/t )``
     truncated at ``order``.  ``omega`` is treated as a polynomial: missing
-    high-degree coefficients count as zero.
+    high-degree coefficients count as zero.  The factor ``z`` is a shift of
+    the exponential's coefficients by one degree, not a series product.
     """
     if omega.coeffs[0] != 0:
         raise ValueError("a Schwarz series must vanish at 0")
     om = omega.extended(order) if omega.order < order else omega.truncate(order)
-    s = antiderivative_over_t(_growth_integrand(om))
-    return monomial(1, order, mode=om.mode) * exp_series(s)
+    e = exp_series(antiderivative_over_t(_growth_integrand(om)))
+    return TruncatedSeries((_coerce(0, om.mode),) + e.coeffs[:-1], om.mode)
 
 
 def extremal_function(n: int, order: int) -> TruncatedSeries:

@@ -1,10 +1,14 @@
 """End-to-end command tests: outputs, exit codes, JSON round trips."""
 
 import json
+import re
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from coeffsharp import cli
 from coeffsharp.cli import main
 from coeffsharp.exprs import parse_expr, parse_number
 
@@ -75,6 +79,22 @@ def test_series_custom_omega(capsys):
     code, out, _ = run(capsys, "series", "custom-omega", "--omega", "0", "1",
                        "--order", "4")
     assert code == 0 and out.strip() == "0, 1, 1, 3/4, 5/12"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_series_comments_match_the_cli(monkeypatch, capsys):
+    # "coeffsharp series ...  # coefficients (note)" lines of the README
+    examples = re.findall(r"^coeffsharp (series [^#\n]+?)\s+#\s*([^(\n]+?)\s*(?:\(.*\))?$",
+                          README.read_text(), re.M)
+    assert len(examples) == 2, examples
+    for argv, comment in examples:
+        monkeypatch.setattr(sys, "argv", ["coeffsharp", *argv.split()])
+        with pytest.raises(SystemExit) as exit_:
+            cli.run()
+        assert exit_.value.code == 0, argv
+        assert capsys.readouterr().out.strip() == comment, argv
 
 
 def test_series_custom_omega_decimal_needs_dec_format(capsys):
@@ -279,6 +299,16 @@ def test_lemma_y_with_oracle(capsys):
     closed = float(out.split("closed form: ")[1].split()[0])
     oracle = float(out.split("oracle: ")[1].split()[0])
     assert abs(closed - oracle) <= 1e-4
+
+
+@pytest.mark.parametrize("params, line", [
+    (("-1", "0", "1e-200"), "closed form: 2.0  (branch ii.parabola-plus)"),
+    (("-1e300", "0", "1e10"), "closed form: 1e+300  (branch R.sqrt)"),
+])
+def test_lemma_y_past_the_float_range(capsys, params, line):
+    # branch quantities that underflow or overflow but still decide the branch
+    code, out, err = run(capsys, "lemma", "Y", "--", *params)
+    assert (code, out.strip(), err) == (0, line, "")
 
 
 @pytest.mark.parametrize("grid", ["99", "2001", "100000"])

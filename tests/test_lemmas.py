@@ -1,5 +1,6 @@
 """Piecewise maxima vs brute-force oracles; scalar case profiles."""
 
+import itertools
 import math
 from collections import Counter
 
@@ -174,6 +175,38 @@ def test_y_brute_force_does_not_overflow_on_large_input():
     for A, B, C in ((1e200, 0.0, 0.0), (0.0, -1e200, 0.0), (1e300, -1e300, 1e300)):
         assert y_brute_force(YInput(A, B, C), grid=100) == pytest.approx(
             abs(A) + abs(B) + abs(C), rel=1e-12)
+
+
+@pytest.mark.parametrize("yin, branch, value", [
+    # C*C underflows to 0, though 1/C^2 is only 1e400
+    (YInput(-1.0, 0.0, 1e-200), "ii.parabola-plus", 2.0),
+    # -4*A*C overflows to inf, on the side of a comparison it still decides
+    (YInput(-1e300, 0.0, 1e10), "R.sqrt", 1e300),
+])
+def test_y_decides_branches_past_the_float_range(yin, branch, value):
+    assert y_branch(yin) == branch
+    assert y_closed_form(yin) == value
+    assert y_brute_force(yin, grid=100) == pytest.approx(value, rel=1e-12)
+    z = y_argmax(yin)
+    assert abs(z) <= 1 + 1e-15
+    assert disk_objective(yin.A, yin.B, yin.C, z) == pytest.approx(value, rel=1e-12)
+
+
+def test_y_closed_form_matches_the_oracle_across_magnitudes():
+    # A*C < 0 across the float range: where a branch quantity overflows or
+    # underflows, every input the closed form accepts is still its maximum
+    mags = (1e-320, 1e-200, 1e-160, 1e-155, 0.5, 1.0, 1.7, 1e154, 1e160, 1e300)
+    accepted = 0
+    for a, b, c in itertools.product(mags, (0.0,) + mags, mags):
+        yin = YInput(-a, b, c)
+        try:
+            value = y_closed_form(yin)
+        except ValueError:
+            continue
+        accepted += 1
+        assert value == pytest.approx(y_brute_force(yin, grid=100), rel=1e-13), (
+            yin, y_branch(yin))
+    assert accepted > 1000
 
 
 def test_y_argmax_attains_the_brute_force_maximum():

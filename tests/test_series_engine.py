@@ -1,6 +1,7 @@
 """Series algebra: arithmetic, composition, exp/log/cosh, golden expansions."""
 
 import doctest
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,8 @@ from coeffsharp.series_engine import (
     COMPLEX,
     RATIONAL,
     TruncatedSeries,
+    _coerce,
+    _growth_integrand,
     antiderivative_over_t,
     compose,
     cosh_series,
@@ -302,3 +305,80 @@ def test_series_div_round_trip():
     a = series([1, F(1, 2), F(-2, 3), 5], order=5)
     b = series([2, -1, F(1, 7), 0, 1], order=5)
     assert series_div(a * b, b).coeffs == a.coeffs
+
+
+# --- the recurrence and the shift against the plain dense forms ---------------------
+
+def dense_exp_series(a):
+    """exp(a) by the plain recurrence, every weight j*a_j formed inside the k loop."""
+    out = [_coerce(1, a.mode)]
+    for k in range(1, a.order + 1):
+        acc = _coerce(0, a.mode)
+        for j in range(1, k + 1):
+            acc += j * a.coeffs[j] * out[k - j]
+        out.append(acc / k)
+    return TruncatedSeries(tuple(out), a.mode)
+
+
+def dense_starlike(omega, order):
+    """z * exp(...) as the dense series product of monomial(1) and the exponential."""
+    om = omega.extended(order) if omega.order < order else omega.truncate(order)
+    s = antiderivative_over_t(_growth_integrand(om))
+    return monomial(1, order, mode=om.mode) * dense_exp_series(s)
+
+
+def seeded_driver(rng, order, mode, density):
+    """A series with zero constant term; each later coefficient is nonzero with
+    probability ``density`` (0 gives the all-zero driver)."""
+    vals = [0]
+    for _ in range(order):
+        if rng.random() >= density:
+            vals.append(0)
+        elif mode == RATIONAL:
+            vals.append(F(rng.randint(-9, 9), rng.choice((1, 2, 4))))  # keeps the test fast
+        else:
+            vals.append(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+    return series(vals, mode=mode)
+
+
+DENSITIES = (0.0, 0.3, 1.0)  # all-zero, sparse and dense drivers
+
+
+def same_coeffs(got, want):
+    return got.mode == want.mode and repr(got.coeffs) == repr(want.coeffs)
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, COMPLEX])
+def test_exp_series_matches_the_dense_recurrence(mode):
+    rng = random.Random(9)
+    for order in range(65):
+        density = DENSITIES[order % 3]
+        a = seeded_driver(rng, order, mode, density)
+        assert same_coeffs(exp_series(a), dense_exp_series(a)), (order, density, a)
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, COMPLEX])
+def test_starlike_shift_matches_the_dense_product(mode):
+    rng = random.Random(10)
+    for i, order in enumerate(range(1, 65, 3)):
+        density = DENSITIES[i % 3]
+        om = seeded_driver(rng, min(order, 3), mode, density)
+        assert same_coeffs(starlike_from_schwarz(om, order), dense_starlike(om, order)), (
+            order, density, om)
+
+
+@pytest.mark.parametrize("order", [8, 32, 64])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_extremal_function_matches_the_dense_forms(n, order):
+    # the nine extremal series of the exact benchmark workload
+    assert same_coeffs(extremal_function(n, order), dense_starlike(monomial(n, order), order))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_extremal_log_coefficients_by_integration(n):
+    # log(f/z) is the antiderivative of (omega + cosh(omega) - 1)/t: a route
+    # through log_series that shares neither the exponential nor the shift
+    f = extremal_function(n, 64)
+    m = monomial(n, 64)
+    want = antiderivative_over_t(_growth_integrand(m)).truncate(63)
+    assert log_series(divide_by_z(f)).coeffs == want.coeffs
