@@ -5,7 +5,9 @@ Three families live here.
 * ``Y(A, B, C)`` is the maximum of ``|A + B z + C z^2| + 1 - |z|^2`` over the
   closed unit disk, a seven-branch piecewise formula for real A, B, C.  Its
   oracle scans a polar grid of the upper half-disk (the objective is even in
-  arg z) in real arithmetic, then polishes by golden section.  Through Y,
+  arg z), where the squared modulus is a quadratic in cos(arg z); it takes
+  the square root of each radius's largest value only, then polishes by
+  golden section.  Through Y,
   ``|A + B tau2 + C tau2^2 + W (1 - |tau2|^2) tau3|`` has a closed-form
   maximum over (tau2, tau3) (``form_max``, ``form_argmax``).
 * Sharp bounds for ``|c2 - v c1^2|``, ``|c3 - 2B c1 c2 + D c1^3|`` and
@@ -104,19 +106,15 @@ class PsiInput:
 
 def _y_pieces(A: float, B: float, C: float):
     a, b, c = abs(A), abs(B), abs(C)
-    if A * C >= 0:
+    if not (A < 0 < C or C < 0 < A):  # by the signs: A*C can underflow to -0.0
         if b >= 2 * (1 - c):
             return a + b + c, "i.sum"
         return 1 + a + b * b / (4 * (1 - c)), "i.parabola"
-    # A*C < 0 from here on, so C != 0.
-    try:
-        inner = -4 * A * C * (1 / (C * C) - 1)
-    except ZeroDivisionError:  # C*C underflows to 0
-        inner = math.nan
+    # A and C have opposite signs from here on, so a, c > 0, and -4AC(1/C^2 - 1)
+    # is formed from a/c: 4AC and C*C underflow and overflow long before it does.
+    inner = 4 * (a / c) * (1 - c) * (1 + c)
     bb, outer = b * b, 4 * (1 + c) * (1 + c)
     if not all(map(math.isfinite, (bb, inner, outer))):
-        if c < 1:  # 1/(C*C) overflows long before inner = 4a(1 - c^2)/c does
-            inner = 4 * (a / c) * ((1 - c) * (1 + c))
         if _wide_branch(a, b, c, inner, bb, outer) == "R.sqrt":  # 4*A*C may overflow
             return (c + a) * math.hypot(1, b / (2 * math.sqrt(a) * math.sqrt(c))), "R.sqrt"
     if inner <= bb and b < 2 * (1 - c):
@@ -131,18 +129,20 @@ def _y_pieces(A: float, B: float, C: float):
 
 
 def _wide_branch(a, b, c, inner, bb, outer) -> str:
-    """The branch the A*C < 0 ladder of :func:`_y_pieces` takes when some of its
+    """The branch the opposite-sign ladder of :func:`_y_pieces` takes when some of its
     quantities are not finite, by the same comparisons in the same order.
 
     An infinity on one side of a comparison still decides it rightly; a NaN,
     or an infinity on both sides, decides nothing, and the input is rejected.
     """
     ab = a * b
-    for lhs, rhs, picks, branch in (
-            (inner, bb, inner <= bb and b < 2 * (1 - c), "ii.parabola-minus"),
-            (bb, min(outer, inner), bb < min(outer, inner), "ii.parabola-plus"),
-            (c * (b + 4 * a), ab, c * (b + 4 * a) <= ab, "R.drop-c"),
-            (ab, c * (b - 4 * a), ab <= c * (b - 4 * a), "R.drop-a")):
+    # the first rung also needs b < 2(1 - c); without it, inner and bb decide nothing
+    minus_sides = (inner, bb) if b < 2 * (1 - c) else (0.0, 0.0)
+    for (lhs, rhs), picks, branch in (
+            (minus_sides, inner <= bb and b < 2 * (1 - c), "ii.parabola-minus"),
+            ((bb, min(outer, inner)), bb < min(outer, inner), "ii.parabola-plus"),
+            ((c * (b + 4 * a), ab), c * (b + 4 * a) <= ab, "R.drop-c"),
+            ((ab, c * (b - 4 * a)), ab <= c * (b - 4 * a), "R.drop-a")):
         if math.isnan(lhs) or math.isnan(rhs) or (math.isinf(lhs) and math.isinf(rhs)):
             raise ValueError("a branch condition compares two values that are not finite: "
                              "the inputs are too large")
@@ -207,20 +207,31 @@ def y_argmax(yin: YInput) -> complex:
     return _y_argmax(yin.A, yin.B, yin.C)
 
 
+def _pow2_normalized(A: float, B: float, C: float) -> tuple:
+    """``(e, a, b, c)`` with ``(a, b, c) = 2^-e (A, B, C)`` and the largest of |a|,
+    |b|, |c| in [1/2, 1) (e = 0 when all are 0): exact unless an entry far below
+    the largest underflows, and the largest square lies in [1/4, 1)."""
+    e = math.frexp(max(abs(A), abs(B), abs(C)))[1]
+    return e, math.ldexp(A, -e), math.ldexp(B, -e), math.ldexp(C, -e)
+
+
 def _circle_argmax(A: float, B: float, C: float) -> complex:
     """A point of the unit circle where |A + B z + C z^2| peaks, for real A, B, C.
 
     With x = cos(arg z) the squared modulus is the quadratic
     ``((A + C) x + B)^2 + (C - A)^2 (1 - x^2)`` in x on [-1, 1], with leading
     coefficient 4AC: its maximum is at an end or, when AC < 0, at the vertex.
-    The maximizer is scale-free, so A, B, C are divided by a power of two
-    first, as in :func:`_y_half_disk_scan`, and the squares cannot overflow.
+    The maximizer is scale-free, so A, B, C are normalized first (see
+    :func:`_pow2_normalized`): no square overflows, and the largest cannot
+    underflow.
     """
-    scale = math.ldexp(1.0, max(0, math.frexp(max(abs(A), abs(B), abs(C)))[1] - 1))
-    A, B, C = A / scale, B / scale, C / scale
+    _, A, B, C = _pow2_normalized(A, B, C)
     xs = [-1.0, 1.0]
-    if A * C < 0:
-        vertex = -(A + C) * B / (4 * A * C)
+    lead = 4 * A * C
+    # by the signs, as in _y_pieces; a lead that underflows to 0 leaves the
+    # quadratic linear to rounding, and an end wins
+    if (A < 0 < C or C < 0 < A) and lead:
+        vertex = -(A + C) * B / lead
         if -1.0 < vertex < 1.0:
             xs.append(vertex)
     x = max(xs, key=lambda x: ((A + C) * x + B) ** 2 + (C - A) ** 2 * (1 - x * x))
@@ -273,8 +284,18 @@ def form_argmax(A: float, B: float, C: float, W: float) -> tuple:
     return tau2, form_tau3(A, B, C, W, tau2)
 
 
+def _cos_quadratic(a, b, c, r) -> tuple:
+    """``(p0, p1, p2)`` with ``|a + b r e^{it} + c r^2 e^{2it}|^2 = p0 + p1 x + p2 x^2``,
+    ``x = cos t``, for real a, b, c, r: exact over Fractions, elementwise over
+    numpy radii."""
+    rr = r * r
+    return (a * a + (b * b - 2 * a * c) * rr + c * c * rr * rr,
+            2 * b * r * (a + c * rr),
+            4 * a * c * rr)
+
+
 #: largest ``y_brute_force`` grid: its float64 half grid holds about
-#: 1.8 grid^2 points (58 MB at the cap) and the scan keeps two such arrays
+#: 1.8 grid^2 points (58 MB at the cap), and the scan keeps one such array
 Y_GRID_MAX = 2000
 
 
@@ -284,36 +305,31 @@ def _y_half_disk_scan(A: float, B: float, C: float, grid: int):
 
     For real A, B, C the objective is even in the angle, so these angles
     reach every point of the full ``grid`` by ``n`` polar grid, or its mirror
-    image.  With ``re = A + B r cos t + C r^2 cos 2t`` and ``im = B r sin t +
-    C r^2 sin 2t`` the value is ``sqrt(re^2 + im^2) + 1 - r^2``.  A, B, C are
-    divided by a power of two ``scale`` first, so that the squares cannot
-    overflow; the modulus is multiplied back exactly.
+    image.  A, B, C are normalized first (:func:`_pow2_normalized`), so that
+    no square overflows and the largest cannot underflow.  With ``x = cos t``
+    the squared modulus is the quadratic ``p0 + p1 x + p2 x^2`` of
+    :func:`_cos_quadratic`, formed by Horner's rule in one array.  ``sqrt`` is
+    monotone and ``1 - r^2`` is constant along a row, so only each radius's
+    largest squared modulus goes through ``sqrt`` (clamped at 0 first, so
+    that rounding in the expanded form can never hand it a negative value and
+    a NaN win the argmax), is multiplied back by the power of two exactly, and
+    gets ``1 - r^2`` added.
     """
-    scale = math.ldexp(1.0, max(0, math.frexp(max(abs(A), abs(B), abs(C)))[1] - 1))
-    a, b, c = A / scale, B / scale, C / scale
-
-    def objective(r, th):
-        cr = c * r
-        re = cr * np.cos(2.0 * th)
-        re += b * np.cos(th)
-        re *= r
-        re += a
-        im = cr * np.sin(2.0 * th)
-        im += b * np.sin(th)
-        im *= r
-        np.square(re, out=re)
-        re += np.square(im, out=im)
-        np.sqrt(re, out=re)
-        re *= scale
-        re += 1.0 - r * r
-        return re
-
+    exponent, a, b, c = _pow2_normalized(A, B, C)
     n = int(3.6 * grid)
     half = n // 2
     r, th = np.linspace(0.0, 1.0, grid), np.linspace(0.0, 2.0 * np.pi * half / n, half + 1)
-    vals = objective(r[:, None], th[None, :])
-    i, j = divmod(int(np.argmax(vals)), half + 1)
-    return float(vals[i, j]), (float(r[i]), float(th[j])), vals.size
+    x = np.cos(th)
+    p0, p1, p2 = _cos_quadratic(a, b, c, r)
+    m = np.multiply.outer(p2, x)
+    m += p1[:, None]
+    m *= x
+    m += p0[:, None]
+    cols = np.argmax(m, axis=1)
+    rows = np.maximum(m[np.arange(grid), cols], 0.0)
+    vals = np.ldexp(np.sqrt(rows), exponent) + (1.0 - r * r)
+    i = int(np.argmax(vals))
+    return float(vals[i]), (float(r[i]), float(th[cols[i]])), m.size
 
 
 def y_brute_force(yin: YInput, grid: int = 200) -> float:

@@ -304,6 +304,7 @@ def test_lemma_y_with_oracle(capsys):
 @pytest.mark.parametrize("params, line", [
     (("-1", "0", "1e-200"), "closed form: 2.0  (branch ii.parabola-plus)"),
     (("-1e300", "0", "1e10"), "closed form: 1e+300  (branch R.sqrt)"),
+    (("-1e-200", "1e-30", "1e-150"), "closed form: 1.0  (branch ii.parabola-plus)"),
 ])
 def test_lemma_y_past_the_float_range(capsys, params, line):
     # branch quantities that underflow or overflow but still decide the branch

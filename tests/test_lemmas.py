@@ -3,6 +3,7 @@
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from coeffsharp.lemmas import (
     y_brute_force,
     y_closed_form,
     _PSI_GRID,
+    _cos_quadratic,
     _lemma24_form,
     _y_half_disk_scan,
 )
@@ -46,6 +48,9 @@ BRANCH_EXEMPLARS = [
     (YInput(0.1, 4.0, -3.0), "R.drop-a", 6.9),
     (YInput(1.0, 0.5, -1.0), "R.sqrt", 2 * math.sqrt(1.0625)),
 ]
+
+# magnitudes across the float range, subnormal to near overflow
+MAGNITUDES = (1e-320, 1e-200, 1e-160, 1e-155, 0.5, 1.0, 1.7, 1e154, 1e160, 1e300)
 
 
 # --- closed form -----------------------------------------------------------------
@@ -170,6 +175,72 @@ def test_y_half_disk_scan_reaches_the_full_grid_maximum(grid):
         assert full - 1e-12 <= brute <= y_closed_form(yin) + 1e-9, (yin, brute, full)
 
 
+def y_re_im_objective(A, B, C, r, th):
+    """The disk objective at polar points (r, th), elementwise, through ``re``
+    and ``im`` of A + B z + C z^2, with A, B, C divided by a power of two
+    >= 1 so that the squares cannot overflow."""
+    scale = math.ldexp(1.0, max(0, math.frexp(max(abs(A), abs(B), abs(C)))[1] - 1))
+    a, b, c = A / scale, B / scale, C / scale
+    re = a + r * (b * np.cos(th) + c * r * np.cos(2.0 * th))
+    im = r * (b * np.sin(th) + c * r * np.sin(2.0 * th))
+    return np.sqrt(re * re + im * im) * scale + (1.0 - r * r)
+
+
+def y_re_im_scan(yin, grid):
+    """Oracle of the quadratic scan: ``(value, (r, angle), evaluations)`` of
+    :func:`y_re_im_objective` on the same half-disk grid, every point through
+    its own square root."""
+    n = int(3.6 * grid)
+    half = n // 2
+    r = np.linspace(0.0, 1.0, grid)[:, None]
+    th = np.linspace(0.0, 2.0 * np.pi * half / n, half + 1)[None, :]
+    vals = y_re_im_objective(yin.A, yin.B, yin.C, r, th)
+    i, j = divmod(int(np.argmax(vals)), half + 1)
+    return float(vals[i, j]), (float(r[i, 0]), float(th[0, j])), vals.size
+
+
+@pytest.mark.parametrize("grid", [100, 101, 200])  # 360, 363 (odd) and 720 angles
+def test_y_half_disk_scan_matches_the_re_im_scan(grid):
+    for yin in y_oracle_inputs():
+        value, (r, angle), evals = _y_half_disk_scan(yin.A, yin.B, yin.C, grid)
+        want, _, want_evals = y_re_im_scan(yin, grid)
+        assert evals == want_evals
+        assert abs(value - want) <= 1e-12, (yin, value, want)
+        # the reported grid point attains the value
+        at = float(y_re_im_objective(yin.A, yin.B, yin.C, r, angle))
+        assert abs(at - value) <= 1e-12, (yin, r, angle, at, value)
+
+
+def test_cos_quadratic_is_the_squared_modulus_exactly():
+    # With e^{it} = ((1 - t^2) + 2it) / (1 + t^2), both sides times (1 + t^2)^4
+    # are polynomials of degree <= 2 in each of a, b, c, <= 4 in r and <= 8 in
+    # t.  Equal on a grid of deg + 1 points per variable, they are the same
+    # polynomial (Alon, Combinatorial Nullstellensatz, 1999, Lemma 2.1), so the
+    # identity holds for every real a, b, c, r and every angle but pi, and by
+    # continuity at pi too.
+    def nodes(deg):
+        return [Fraction(k, 3) - 1 for k in range(deg + 1)]
+
+    for a, b, c, r, t in itertools.product(nodes(2), nodes(2), nodes(2), nodes(4), nodes(8)):
+        x, y = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)  # cos and sin
+        re = a + b * r * x + c * r * r * (x * x - y * y)
+        im = b * r * y + c * r * r * (2 * x * y)
+        p0, p1, p2 = _cos_quadratic(a, b, c, r)
+        assert re * re + im * im == p0 + p1 * x + p2 * x * x, (a, b, c, r, t)
+
+
+def test_y_half_disk_scan_across_magnitudes():
+    # A, B, C are normalized in both directions: nothing overflows and no
+    # tiny coefficient turns the value into a NaN.  The other signs follow:
+    # z -> -z flips B, and negating A, B, C keeps the modulus.
+    for a, b, c in itertools.product(MAGNITUDES, (0.0,) + MAGNITUDES, MAGNITUDES):
+        for A in (a, -a):
+            value = _y_half_disk_scan(A, b, c, 100)[0]
+            want = y_re_im_scan(YInput(A, b, c), 100)[0]
+            assert math.isfinite(value) and value == pytest.approx(want, rel=1e-13), (
+                A, b, c, value, want)
+
+
 def test_y_brute_force_does_not_overflow_on_large_input():
     # |A + B z + C z^2| near 1e200 squares past the float range
     for A, B, C in ((1e200, 0.0, 0.0), (0.0, -1e200, 0.0), (1e300, -1e300, 1e300)):
@@ -182,6 +253,10 @@ def test_y_brute_force_does_not_overflow_on_large_input():
     (YInput(-1.0, 0.0, 1e-200), "ii.parabola-plus", 2.0),
     # -4*A*C overflows to inf, on the side of a comparison it still decides
     (YInput(-1e300, 0.0, 1e10), "R.sqrt", 1e300),
+    # A*C and 4AC underflow to -0.0, though A and C have opposite signs
+    (YInput(-1e-200, 1e-30, 1e-150), "ii.parabola-plus", 1.0),
+    # 4a/c and B*B overflow, but b >= 2(1 - c) decides the first rung without them
+    (YInput(-1e-10, 1e250, 1e-320), "R.drop-c", 1e250),
 ])
 def test_y_decides_branches_past_the_float_range(yin, branch, value):
     assert y_branch(yin) == branch
@@ -195,9 +270,8 @@ def test_y_decides_branches_past_the_float_range(yin, branch, value):
 def test_y_closed_form_matches_the_oracle_across_magnitudes():
     # A*C < 0 across the float range: where a branch quantity overflows or
     # underflows, every input the closed form accepts is still its maximum
-    mags = (1e-320, 1e-200, 1e-160, 1e-155, 0.5, 1.0, 1.7, 1e154, 1e160, 1e300)
     accepted = 0
-    for a, b, c in itertools.product(mags, (0.0,) + mags, mags):
+    for a, b, c in itertools.product(MAGNITUDES, (0.0,) + MAGNITUDES, MAGNITUDES):
         yin = YInput(-a, b, c)
         try:
             value = y_closed_form(yin)
@@ -207,6 +281,71 @@ def test_y_closed_form_matches_the_oracle_across_magnitudes():
         assert value == pytest.approx(y_brute_force(yin, grid=100), rel=1e-13), (
             yin, y_branch(yin))
     assert accepted > 1000
+
+
+def exact_ladder_labels(A, B, C):
+    """The branches the ladder of ``y_branch`` takes in exact rational
+    arithmetic (-0.0 is 0): one label, or more where the two sides of a
+    comparison differ by less than 2^-50 of the larger, so that rounding may
+    decide it either way."""
+    A, B, C = map(Fraction, (A, B, C))
+    a, b, c = abs(A), abs(B), abs(C)
+
+    def outcomes(lhs, rhs, strict=False):
+        if lhs != rhs and abs(lhs - rhs) <= max(abs(lhs), abs(rhs)) / 2 ** 50:
+            return {True, False}
+        return {lhs < rhs if strict else lhs <= rhs}
+
+    if A * C >= 0:
+        rungs, last = [(outcomes(2 * (1 - c), b), "i.sum")], "i.parabola"
+    else:
+        inner = -4 * A * C * (1 / (C * C) - 1)
+        bb, outer = b * b, 4 * (1 + c) ** 2
+        minus = {p and q for p in outcomes(inner, bb) for q in outcomes(b, 2 * (1 - c), True)}
+        rungs = [(minus, "ii.parabola-minus"),
+                 (outcomes(bb, min(outer, inner), True), "ii.parabola-plus"),
+                 (outcomes(c * (b + 4 * a), a * b), "R.drop-c"),
+                 (outcomes(a * b, c * (b - 4 * a)), "R.drop-a")]
+        last = "R.sqrt"
+    labels = set()
+    for taken, label in rungs:
+        if True in taken:
+            labels.add(label)
+        if False not in taken:
+            return labels
+    return labels | {last}
+
+
+def test_y_labels_match_the_exact_ladder_across_magnitudes():
+    # where A*C, 4AC or C*C underflow or overflow, the branch is still the one
+    # exact arithmetic takes; a zero, -0.0 included, is on the same-sign side
+    inputs = [(-1e-200, 1e-30, 1e-150)]
+    for a, b, c in itertools.product(MAGNITUDES, (0.0,) + MAGNITUDES, MAGNITUDES):
+        inputs += [(-a, b, c), (a, b, c), (-a, b, -0.0), (-0.0, b, c)]
+    checked = 0
+    for A, B, C in inputs:
+        try:
+            label = y_branch(YInput(A, B, C))
+        except ValueError:  # the maximum, or a branch condition, is past the float range
+            continue
+        checked += 1
+        assert label in exact_ladder_labels(A, B, C), (A, B, C, label)
+    assert checked > 4000
+
+
+def test_circle_argmax_across_magnitudes():
+    # normalized in both directions, coefficients near 1e-200 do not square to
+    # 0, and a leading coefficient 4AC that underflows is not divided by
+    circle = np.exp(1j * np.linspace(0.0, 2 * np.pi, 4096, endpoint=False))
+    for a, b, c in itertools.product(MAGNITUDES, (0.0,) + MAGNITUDES, MAGNITUDES):
+        for A in (a, -a):
+            z = disk_argmax(A, b, c, 0.0)
+            assert abs(abs(z) - 1) <= 1e-15
+            # compare moduli at a common power-of-two scale, where nothing underflows
+            e = math.frexp(max(a, b, c))[1]
+            An, Bn, Cn = (math.ldexp(v, -e) for v in (A, b, c))
+            brute = float(np.abs(An + Bn * circle + Cn * circle * circle).max())
+            assert abs(An + Bn * z + Cn * z * z) >= brute - 1e-12, (A, b, c, z)
 
 
 def test_y_argmax_attains_the_brute_force_maximum():
