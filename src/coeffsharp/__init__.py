@@ -52,8 +52,6 @@ from .functionals import (
 from .lemmas import (
     PsiInput,
     YInput,
-    case_scalar_extremum,
-    case_scalar_functions,
     lemma23_bound,
     lemma23_empirical,
     lemma24_check,

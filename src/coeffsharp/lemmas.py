@@ -1,19 +1,16 @@
 """Auxiliary sharp maxima: piecewise closed forms next to brute-force oracles.
 
-Three families live here.
+Two families live here.
 
 * ``Y(A, B, C)`` is the maximum of ``|A + B z + C z^2| + 1 - |z|^2`` over the
   closed unit disk, a seven-branch piecewise formula for real A, B, C.  Its
-  oracle scans a polar grid of the upper half-disk (the objective is even in
-  arg z), where the squared modulus is a quadratic in cos(arg z); it takes
-  the square root of each radius's largest value only, then polishes by
-  golden section.  Through Y,
+  oracle searches the radius alone: on each circle the squared modulus is a
+  quadratic in cos(arg z), whose maximum over [-1, 1] is exact.  Through Y,
   ``|A + B tau2 + C tau2^2 + W (1 - |tau2|^2) tau3|`` has a closed-form
   maximum over (tau2, tau3) (``form_max``, ``form_argmax``).
 * Sharp bounds for ``|c2 - v c1^2|``, ``|c3 - 2B c1 c2 + D c1^3|`` and
   ``|B2 c1^2 + B3 c2| - |B1 c1|`` over positive-real-part coefficients,
-  whose oracles scan profiles of tau1 alone, and the scalar profiles
-  phi/Psi/Phi that the Hankel case analysis reduces to.
+  whose oracles scan profiles of tau1 alone.
 
 Boundary ties in piecewise conditions resolve to the first listed branch;
 the branches agree at the seams (see the seam tests).
@@ -28,21 +25,15 @@ from numbers import Rational
 
 import numpy as np
 
-from ._search import golden_max, tau1_argmax, unit_direction
+from ._search import tau1_argmax, unit_direction
 from .caratheodory import c12, c3_parts
 
-#: positive root of 101 t^4 + 148 t^2 - 60, where the fallback branch of the
-#: inverse-Hankel case analysis switches form (~0.575109).
-TAU_SPLIT = math.sqrt((4.0 * math.sqrt(721.0) - 74.0) / 101.0)
-
-#: interior maximizer of the profile 12 + 12 t^2 - 33 t^4 (~0.426401).
-PSI_ARGMAX = math.sqrt(2.0 / 11.0)
-
 _PSI_GRID, _PSI_ROUNDS, _PSI_SHRINK = 121, 10, 0.1  # psi_empirical's tau1 scans
+# y_brute_force's windows over the radius: each spans about 2.5 steps of the scan
+# before it on each side of the incumbent, and the last reaches the rounding floor
+_Y_ROUNDS, _Y_SHRINK = 4, 0.05
 
 __all__ = [
-    "TAU_SPLIT",
-    "PSI_ARGMAX",
     "Y_GRID_MAX",
     "YInput",
     "PsiInput",
@@ -63,8 +54,6 @@ __all__ = [
     "psi_plus_bound",
     "psi_minus_bound",
     "psi_empirical",
-    "case_scalar_functions",
-    "case_scalar_extremum",
 ]
 
 
@@ -116,16 +105,32 @@ def _y_pieces(A: float, B: float, C: float):
     bb, outer = b * b, 4 * (1 + c) * (1 + c)
     if not all(map(math.isfinite, (bb, inner, outer))):
         if _wide_branch(a, b, c, inner, bb, outer) == "R.sqrt":  # 4*A*C may overflow
-            return (c + a) * math.hypot(1, b / (2 * math.sqrt(a) * math.sqrt(c))), "R.sqrt"
+            return _wide_sqrt(a, b, c), "R.sqrt"
     if inner <= bb and b < 2 * (1 - c):
         return 1 - a + b * b / (4 * (1 - c)), "ii.parabola-minus"
     if bb < min(outer, inner):
         return 1 + a + b * b / (4 * (1 + c)), "ii.parabola-plus"
-    if c * (b + 4 * a) <= a * b:
+    # 4ac <= (a - c) b and 4ac <= (c - a) b, divided by a and by c: no 4a is
+    # added to a b that absorbs it, and neither side can overflow
+    if a > c and 4 * c <= (a - c) / a * b:
         return a + b - c, "R.drop-c"
-    if a * b <= c * (b - 4 * a):
+    if c > a and 4 * a <= (c - a) / c * b:
         return -a + b + c, "R.drop-a"
-    return (c + a) * math.sqrt(1 - b * b / (4 * A * C)), "R.sqrt"
+    four_ac = 4 * A * C
+    value = (c + a) * math.sqrt(1 - bb / four_ac) if four_ac else math.inf
+    if value == math.inf:  # 4AC underflowed to -0.0, or b^2/(4AC) overflowed; Y may not
+        value = _wide_sqrt(a, b, c)
+    return value, "R.sqrt"
+
+
+def _wide_sqrt(a: float, b: float, c: float) -> float:
+    """The ``R.sqrt`` maximum ``(c + a) sqrt(1 + b^2 / (4ac))`` without forming
+    4ac: ``(c + a) hypot(1, b / g)`` with ``g = 2 sqrt(a) sqrt(c)``, or, where
+    b / g overflows, ``(c + a) / g * hypot(g, b)``."""
+    g = 2 * math.sqrt(a) * math.sqrt(c)
+    if b / g < math.inf:
+        return (c + a) * math.hypot(1, b / g)
+    return (c + a) / g * math.hypot(g, b)
 
 
 def _wide_branch(a, b, c, inner, bb, outer) -> str:
@@ -135,19 +140,21 @@ def _wide_branch(a, b, c, inner, bb, outer) -> str:
     An infinity on one side of a comparison still decides it rightly; a NaN,
     or an infinity on both sides, decides nothing, and the input is rejected.
     """
-    ab = a * b
     # the first rung also needs b < 2(1 - c); without it, inner and bb decide nothing
     minus_sides = (inner, bb) if b < 2 * (1 - c) else (0.0, 0.0)
     for (lhs, rhs), picks, branch in (
             (minus_sides, inner <= bb and b < 2 * (1 - c), "ii.parabola-minus"),
-            ((bb, min(outer, inner)), bb < min(outer, inner), "ii.parabola-plus"),
-            ((c * (b + 4 * a), ab), c * (b + 4 * a) <= ab, "R.drop-c"),
-            ((ab, c * (b - 4 * a)), ab <= c * (b - 4 * a), "R.drop-a")):
+            ((bb, min(outer, inner)), bb < min(outer, inner), "ii.parabola-plus")):
         if math.isnan(lhs) or math.isnan(rhs) or (math.isinf(lhs) and math.isinf(rhs)):
             raise ValueError("a branch condition compares two values that are not finite: "
                              "the inputs are too large")
         if picks:
             return branch
+    # the R.drop rungs compare 4c or 4a with at most b, so they always decide
+    if a > c and 4 * c <= (a - c) / a * b:
+        return "R.drop-c"
+    if c > a and 4 * a <= (c - a) / c * b:
+        return "R.drop-a"
     return "R.sqrt"
 
 
@@ -215,26 +222,36 @@ def _pow2_normalized(A: float, B: float, C: float) -> tuple:
     return e, math.ldexp(A, -e), math.ldexp(B, -e), math.ldexp(C, -e)
 
 
+def _cos_quadratic(a, b, c, r) -> tuple:
+    """``(p0, p1, p2)`` with ``|a + b r e^{it} + c r^2 e^{2it}|^2 = p0 + p1 x + p2 x^2``,
+    ``x = cos t``, for real a, b, c, r: exact over Fractions, elementwise over
+    numpy radii."""
+    rr = r * r
+    return (a * a + (b * b - 2 * a * c) * rr + c * c * rr * rr,
+            2 * b * r * (a + c * rr),
+            4 * a * c * rr)
+
+
 def _circle_argmax(A: float, B: float, C: float) -> complex:
     """A point of the unit circle where |A + B z + C z^2| peaks, for real A, B, C.
 
     With x = cos(arg z) the squared modulus is the quadratic
-    ``((A + C) x + B)^2 + (C - A)^2 (1 - x^2)`` in x on [-1, 1], with leading
-    coefficient 4AC: its maximum is at an end or, when AC < 0, at the vertex.
-    The maximizer is scale-free, so A, B, C are normalized first (see
-    :func:`_pow2_normalized`): no square overflows, and the largest cannot
-    underflow.
+    ``p0 + p1 x + p2 x^2`` of :func:`_cos_quadratic` at r = 1, in x on
+    [-1, 1], with leading coefficient 4AC: its maximum is at an end or, when
+    AC < 0, at the vertex.  The maximizer is scale-free, so A, B, C are
+    normalized first (see :func:`_pow2_normalized`): no square overflows, and
+    the largest cannot underflow.
     """
     _, A, B, C = _pow2_normalized(A, B, C)
+    p0, p1, p2 = _cos_quadratic(A, B, C, 1.0)
     xs = [-1.0, 1.0]
-    lead = 4 * A * C
-    # by the signs, as in _y_pieces; a lead that underflows to 0 leaves the
+    # by the signs, as in _y_pieces; a p2 that underflows to 0 leaves the
     # quadratic linear to rounding, and an end wins
-    if (A < 0 < C or C < 0 < A) and lead:
-        vertex = -(A + C) * B / lead
+    if (A < 0 < C or C < 0 < A) and p2:
+        vertex = -p1 / (2 * p2)
         if -1.0 < vertex < 1.0:
             xs.append(vertex)
-    x = max(xs, key=lambda x: ((A + C) * x + B) ** 2 + (C - A) ** 2 * (1 - x * x))
+    x = max(xs, key=lambda x: p0 + (p1 + p2 * x) * x)
     return complex(x, math.sqrt(1 - x * x))
 
 
@@ -284,78 +301,52 @@ def form_argmax(A: float, B: float, C: float, W: float) -> tuple:
     return tau2, form_tau3(A, B, C, W, tau2)
 
 
-def _cos_quadratic(a, b, c, r) -> tuple:
-    """``(p0, p1, p2)`` with ``|a + b r e^{it} + c r^2 e^{2it}|^2 = p0 + p1 x + p2 x^2``,
-    ``x = cos t``, for real a, b, c, r: exact over Fractions, elementwise over
-    numpy radii."""
-    rr = r * r
-    return (a * a + (b * b - 2 * a * c) * rr + c * c * rr * rr,
-            2 * b * r * (a + c * rr),
-            4 * a * c * rr)
-
-
-#: largest ``y_brute_force`` grid: its float64 half grid holds about
-#: 1.8 grid^2 points (58 MB at the cap), and the scan keeps one such array
+#: largest ``y_brute_force`` grid: the radius scan holds only grid-long vectors,
+#: but the cap stays the bound of the ``--grid`` contract
 Y_GRID_MAX = 2000
 
 
-def _y_half_disk_scan(A: float, B: float, C: float, grid: int):
-    """``(value, (r, angle), evaluations)``: the disk objective's grid maximum over
-    ``grid`` radii by the angles ``2 pi k / n``, ``0 <= k <= n // 2``, ``n = int(3.6 grid)``.
+def _y_radius_profile(A: float, B: float, C: float):
+    """The disk objective's maximum over the circle of each radius r, as a
+    profile of r for :func:`tau1_argmax` (elementwise over numpy radii).
 
-    For real A, B, C the objective is even in the angle, so these angles
-    reach every point of the full ``grid`` by ``n`` polar grid, or its mirror
-    image.  A, B, C are normalized first (:func:`_pow2_normalized`), so that
-    no square overflows and the largest cannot underflow.  With ``x = cos t``
-    the squared modulus is the quadratic ``p0 + p1 x + p2 x^2`` of
-    :func:`_cos_quadratic`, formed by Horner's rule in one array.  ``sqrt`` is
-    monotone and ``1 - r^2`` is constant along a row, so only each radius's
-    largest squared modulus goes through ``sqrt`` (clamped at 0 first, so
-    that rounding in the expanded form can never hand it a negative value and
-    a NaN win the argmax), is multiplied back by the power of two exactly, and
-    gets ``1 - r^2`` added.
+    A, B, C are normalized first (:func:`_pow2_normalized`), so that no square
+    overflows and the largest cannot underflow.  With ``x = cos(arg z)`` the
+    squared modulus is the quadratic ``p0 + p1 x + p2 x^2`` of
+    :func:`_cos_quadratic`; on [-1, 1] its maximum is the better end,
+    ``p0 + |p1| + p2``, unless the quadratic is concave with its vertex
+    inside (``2 p2 < -|p1|``), where it is the vertex value
+    ``p0 - p1^2 / (4 p2)``.  That maximum is clamped at 0 (so that rounding
+    can never hand ``sqrt`` a negative value, nor a NaN win the argmax), goes
+    through ``sqrt``, is multiplied back by the power of two exactly and gets
+    ``1 - r^2``.
     """
     exponent, a, b, c = _pow2_normalized(A, B, C)
-    n = int(3.6 * grid)
-    half = n // 2
-    r, th = np.linspace(0.0, 1.0, grid), np.linspace(0.0, 2.0 * np.pi * half / n, half + 1)
-    x = np.cos(th)
-    p0, p1, p2 = _cos_quadratic(a, b, c, r)
-    m = np.multiply.outer(p2, x)
-    m += p1[:, None]
-    m *= x
-    m += p0[:, None]
-    cols = np.argmax(m, axis=1)
-    rows = np.maximum(m[np.arange(grid), cols], 0.0)
-    vals = np.ldexp(np.sqrt(rows), exponent) + (1.0 - r * r)
-    i = int(np.argmax(vals))
-    return float(vals[i]), (float(r[i]), float(th[cols[i]])), m.size
+
+    def profile(r):
+        p0, p1, p2 = _cos_quadratic(a, b, c, r)
+        slope = np.abs(p1)
+        top = p0 + slope + p2
+        vertex = 2 * p2 < -slope
+        top[vertex] = p0[vertex] - p1[vertex] ** 2 / (4 * p2[vertex])
+        return np.ldexp(np.sqrt(np.maximum(top, 0.0)), exponent) + (1.0 - r * r)
+
+    return profile
 
 
 def y_brute_force(yin: YInput, grid: int = 200) -> float:
-    """Grid maximum of the disk objective; the oracle for y_closed_form.
+    """Maximum of the disk objective by a search over the radius alone; the
+    oracle for y_closed_form.
 
-    Scans ``grid`` radii by the ``int(3.6 * grid)`` equally spaced angles,
-    those of the upper half-disk only (see :func:`_y_half_disk_scan`), then
-    polishes the incumbent with alternating golden-section sweeps in angle
-    and radius.  ``grid`` must lie in [100, Y_GRID_MAX].
+    At each radius the angle is eliminated exactly (:func:`_y_radius_profile`),
+    and :func:`tau1_argmax` scans ``grid`` radii of [0, 1], then windows around
+    the incumbent.  It shares nothing with the branch ladder of the closed
+    form.  ``grid`` must lie in [100, Y_GRID_MAX].
     """
     if not 100 <= grid <= Y_GRID_MAX:
-        raise ValueError(f"grid must lie in [100, {Y_GRID_MAX}] points per axis")
-    A, B, C = yin.A, yin.B, yin.C
-    best, (r0, th0), _ = _y_half_disk_scan(A, B, C, grid)
-
-    def g(r, th):
-        re = A + B * r * math.cos(th) + C * r * r * math.cos(2.0 * th)
-        im = B * r * math.sin(th) + C * r * r * math.sin(2.0 * th)
-        return math.hypot(re, im) + 1.0 - r * r
-
-    dr = 2.0 / (grid - 1)
-    dth = 2.0 * (2.0 * np.pi / int(3.6 * grid))
-    for _ in range(3):
-        th0 = golden_max(lambda t: g(r0, t), th0 - dth, th0 + dth)
-        r0 = golden_max(lambda r: g(r, th0), max(0.0, r0 - dr), min(1.0, r0 + dr))
-    return max(best, g(r0, th0))
+        raise ValueError(f"grid must lie in [100, {Y_GRID_MAX}] radii")
+    profile = _y_radius_profile(yin.A, yin.B, yin.C)
+    return tau1_argmax(profile, grid, _Y_ROUNDS, _Y_SHRINK)[0]
 
 
 def lemma23_bound(v: float) -> float:
@@ -464,35 +455,3 @@ def psi_empirical(pin: PsiInput):
     vmin = -tau1_argmax(negated_bottom, _PSI_GRID, _PSI_ROUNDS, _PSI_SHRINK)[0]
     return vmin, vmax
 
-
-def case_scalar_functions(name: str, t: float) -> float:
-    """Scalar case profiles of the Hankel maximization.
-
-    ``phi(t) = 12 - 4 t^2 - 5 t^4`` and ``Psi(t) = 12 + 12 t^2 - 33 t^4``
-    live on [0, 1]; ``Phi(t) = (12 - 8 t^2 + 5 t^4) sqrt((52 - 16 t^2) /
-    (9 (3 + t^2)))`` lives on [TAU_SPLIT, 1).
-    """
-    if name in ("phi", "Psi"):
-        if not 0 <= t <= 1:
-            raise ValueError(f"{name} is defined on [0, 1]")
-        if name == "phi":
-            return 12 - 4 * t * t - 5 * t ** 4
-        return 12 + 12 * t * t - 33 * t ** 4
-    if name == "Phi":
-        if not (TAU_SPLIT - 1e-12 <= t < 1):
-            raise ValueError("Phi is defined on [TAU_SPLIT, 1)")
-        return (12 - 8 * t * t + 5 * t ** 4) * math.sqrt(
-            (52 - 16 * t * t) / (9 * (3 + t * t))
-        )
-    raise ValueError(f"unknown profile {name!r}; use phi, Psi or Phi")
-
-
-def case_scalar_extremum(name: str):
-    """(argmax, max) of a scalar case profile over its interval."""
-    if name == "phi":
-        return 0.0, 12.0
-    if name == "Psi":
-        return PSI_ARGMAX, 144.0 / 11.0
-    if name == "Phi":
-        return TAU_SPLIT, case_scalar_functions("Phi", TAU_SPLIT)
-    raise ValueError(f"unknown profile {name!r}; use phi, Psi or Phi")

@@ -32,10 +32,8 @@ from coeffsharp.functionals import (
     taylor_from_c,
 )
 from coeffsharp.lemmas import (
-    TAU_SPLIT,
     PsiInput,
     YInput,
-    case_scalar_functions,
     psi_empirical,
     psi_minus_bound,
     psi_plus_bound,
@@ -45,6 +43,8 @@ from coeffsharp.lemmas import (
 )
 from coeffsharp.series_engine import exp_series, log_series, series, series_div, starlike_from_schwarz
 from coeffsharp.verifier import THEOREM_IDS, SearchConfig, verify_all
+
+from case_profiles import TAU_SPLIT, Phi, Psi
 
 
 def _announce(n, text):
@@ -127,9 +127,9 @@ def test_criterion_4_case_value_reproduction():
     t0 = time.time()
     assert abs(hankel_log_tau(CaratheodoryPoint(F(1), F(0), F(0)))) == F(1, 64)
     assert abs(hankel_inverse_tau(CaratheodoryPoint(F(1), F(0), F(0)))) == F(3, 64)
-    assert case_scalar_functions("Psi", math.sqrt(2 / 11)) == pytest.approx(144 / 11, abs=1e-6)
+    assert Psi(math.sqrt(2 / 11)) == pytest.approx(144 / 11, abs=1e-6)
     assert TAU_SPLIT == pytest.approx(0.575109, abs=1e-6)
-    assert case_scalar_functions("Phi", TAU_SPLIT) / 192 == pytest.approx(0.0643695, abs=1e-6)
+    assert Phi(TAU_SPLIT) / 192 == pytest.approx(0.0643695, abs=1e-6)
     elapsed = time.time() - t0
     assert elapsed < 1.0
     _announce(4, f"case constants 1/64, 3/64, 144/11, 0.0643695 reproduced ({elapsed:.2f}s)")
@@ -145,10 +145,12 @@ def test_criterion_5_oracle_equivalences():
     for A, B, C in rng.uniform(-5, 5, size=(1000, 3)):
         yin = YInput(float(A), float(B), float(C))
         seen[y_branch(yin)] += 1
-        assert abs(y_closed_form(yin) - y_brute_force(yin)) <= 1e-4
+        closed = y_closed_form(yin)
+        assert abs(closed - y_brute_force(yin)) <= 1e-12 * max(1.0, abs(closed))
     for extra in (YInput(-5.0, 3.0, 0.1), YInput(0.1, 4.0, -3.0), YInput(1.0, 0.5, -1.0)):
         seen[y_branch(extra)] += 1
-        assert abs(y_closed_form(extra) - y_brute_force(extra)) <= 1e-4
+        closed = y_closed_form(extra)
+        assert abs(closed - y_brute_force(extra)) <= 1e-12 * max(1.0, abs(closed))
     assert {"R.drop-c", "R.drop-a", "R.sqrt"} <= set(seen)
     assert any(k.startswith("i.") for k in seen)
     assert any(k.startswith("ii.") for k in seen)

@@ -298,16 +298,18 @@ def test_lemma_y_with_oracle(capsys):
     assert code == 0
     closed = float(out.split("closed form: ")[1].split()[0])
     oracle = float(out.split("oracle: ")[1].split()[0])
-    assert abs(closed - oracle) <= 1e-4
+    assert abs(closed - oracle) <= 1e-12 * max(1.0, abs(closed))
 
 
 @pytest.mark.parametrize("params, line", [
     (("-1", "0", "1e-200"), "closed form: 2.0  (branch ii.parabola-plus)"),
     (("-1e300", "0", "1e10"), "closed form: 1e+300  (branch R.sqrt)"),
     (("-1e-200", "1e-30", "1e-150"), "closed form: 1.0  (branch ii.parabola-plus)"),
+    (("-0.5", "1e17", "0.5"), "closed form: 1e+17  (branch R.sqrt)"),
 ])
 def test_lemma_y_past_the_float_range(capsys, params, line):
-    # branch quantities that underflow or overflow but still decide the branch
+    # branch quantities that underflow, overflow or absorb a smaller term, but
+    # still decide the branch
     code, out, err = run(capsys, "lemma", "Y", "--", *params)
     assert (code, out.strip(), err) == (0, line, "")
 

@@ -10,7 +10,6 @@ import pytest
 
 from coeffsharp.caratheodory import CaratheodoryPoint, coeffs_from_point
 from coeffsharp.functionals import evaluate_functional, hankel_inverse_tau
-from coeffsharp.lemmas import TAU_SPLIT, case_scalar_functions
 from coeffsharp.verifier import (
     THEOREM_IDS,
     THEOREMS,
@@ -20,6 +19,8 @@ from coeffsharp.verifier import (
     verify,
     verify_all,
 )
+
+from case_profiles import TAU_SPLIT, Psi
 
 COARSE = SearchConfig(grid_tau1=13, grid_r=5, grid_theta=8,
                       refinement_rounds=2, shrink_factor=0.4)
@@ -265,7 +266,7 @@ def test_inverse_hankel_slice_matches_scalar_profile():
     tau3 = np.array([1.0 + 0j])
     for t in np.linspace(0.0, TAU_SPLIT, 200):
         got = objective_slice("H21_inverse", float(t), tau2, tau3)[0, 0]
-        want = case_scalar_functions("Psi", float(t)) / 192
+        want = Psi(float(t)) / 192
         assert abs(got - want) <= 1e-10
         also = abs(hankel_inverse_tau(
             __import__("coeffsharp").CaratheodoryPoint(float(t), 1.0, 1.0)))
