@@ -39,11 +39,28 @@ from .verifier import THEOREM_IDS, SearchConfig, VerificationReport, verify
 
 SCHEMA_VERSION = 1
 
+SERIES_ORDER_MAX = 512  # f1 at this order takes about 4 s; its coefficients grow with the order
+
 _EVAL_ALIASES = {"H21_inverse": "H21_log_inverse"}
 
 
 class UsageError(Exception):
     pass
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reads every token of the number grammar as a value, never as an option.
+
+    argparse alone takes a token starting with ``-`` for an option unless it
+    is a plain negative decimal, so it refused ``--tau 1/2 -1/4 0``.
+    """
+
+    def _parse_optional(self, arg_string):
+        try:
+            parse_number(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None  # a value
 
 
 def main(argv=None) -> int:
@@ -72,7 +89,7 @@ def _now() -> str:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="coeffsharp",
         description="Verify sharp coefficient bounds for starlike functions driven by z + cosh(z).",
     )
@@ -80,7 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_series = sub.add_parser("series", help="print series coefficients")
     p_series.add_argument("which", choices=["f1", "f2", "f3", "phi0", "custom-omega"])
-    p_series.add_argument("--order", type=int, default=8)
+    p_series.add_argument("--order", type=int, default=8,
+                          help=f"truncation order, 0 to {SERIES_ORDER_MAX}")
     p_series.add_argument("--format", choices=["frac", "dec"], default="frac")
     p_series.add_argument("--omega", nargs="+", metavar="COEFF",
                           help="coefficients of omega from degree 0 (custom-omega only)")
@@ -147,8 +165,8 @@ def _num_json(x):
 
 def _series_for(args):
     order = args.order
-    if order < 0:
-        raise UsageError("--order must be >= 0")
+    if not 0 <= order <= SERIES_ORDER_MAX:
+        raise UsageError(f"--order must lie in [0, {SERIES_ORDER_MAX}]")
     if args.which == "phi0":
         m = monomial(1, max(order, 1))
         return (m + cosh_series(m)).truncate(order)

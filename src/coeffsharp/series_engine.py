@@ -12,11 +12,23 @@ Series of different modes never combine.  All values are immutable; every
 operation is a pure function.
 
 The extremal functions are built by :func:`starlike_from_schwarz`, whose cost
-is three :func:`exp_series` recurrences.  Each forms its weights ``j a_j``
-once per call, and the final factor ``z`` is a shift of coefficients, not a
-series product.  Zero terms inside the recurrence are still summed: the
-terms and their order are those of the plain recurrence, and so are the
-results, bit for bit.
+is three :func:`exp_series` recurrences, and the final factor ``z`` is a
+shift of coefficients, not a series product.  The extremal function driven
+by ``omega = z**n`` is zero outside the degrees ``1 + j n``, and the series
+its recurrences exponentiate outside the multiples of ``n``.  So each
+recurrence forms its nonzero weights ``j a_j`` once and sums only the terms
+whose two factors are both nonzero, in the order of the plain recurrence.
+The results are those of the plain recurrence, bit for bit:
+
+* in rational mode the arithmetic is exact, so a zero term changes nothing;
+* in complex mode the accumulator starts at ``+0j`` and a sum of floats is
+  ``-0.0`` only when both addends are, so no part of it is ever ``-0.0``; a
+  zero factor times a finite one is ``+-0``, and adding that to the
+  accumulator leaves it unchanged;
+* a weight ``j a_j`` that overflows meets ``e_0 = 1`` at ``k = j``, a term
+  never skipped, so ``e_j`` is not finite.  Up to the first non-finite
+  coefficient every skipped term is a zero times a finite number and both
+  routes agree; then both reject the result with the same ``ValueError``.
 """
 
 from __future__ import annotations
@@ -228,19 +240,24 @@ def exp_series(a: TruncatedSeries) -> TruncatedSeries:
 
     Computed through the recurrence ``(exp a)' = a' * exp a`` with unit
     constant term, ``k e_k = sum_{j=1..k} (j a_j) e_{k-j}`` (Knuth, TAOCP
-    vol. 2, 4.7), so rational mode stays exact.  The weights ``j a_j`` are
-    formed once, before the loop over ``k``; the terms are summed in order
-    of increasing ``j``, zero terms included.
+    vol. 2, 4.7), so rational mode stays exact.  The nonzero weights
+    ``j a_j`` are formed once, in increasing ``j``; each ``e_k`` sums, in that
+    order, only the terms with ``j <= k`` and ``e_{k-j} != 0``.  The module
+    docstring shows why the skipped zero terms leave every result unchanged.
     """
     if a.coeffs[0] != 0:
         raise ValueError("exp_series requires a zero constant term")
-    weights = [j * c for j, c in enumerate(a.coeffs)]
+    terms = [(j, j * c) for j, c in enumerate(a.coeffs) if c]
     zero = _coerce(0, a.mode)
     out = [_coerce(1, a.mode)]
     for k in range(1, a.order + 1):
         acc = zero
-        for w, e in zip(weights[1:k + 1], reversed(out)):
-            acc += w * e
+        for j, w in terms:
+            if j > k:
+                break
+            e = out[k - j]
+            if e:
+                acc += w * e
         out.append(acc / k)
     return TruncatedSeries(tuple(out), a.mode)
 

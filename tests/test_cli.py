@@ -119,6 +119,37 @@ def test_series_usage_errors(capsys):
     assert code == 2
 
 
+def test_series_order_is_capped(capsys):
+    # the cap is inclusive; one past it is refused before any series work
+    code, out, _ = run(capsys, "series", "phi0", "--order", str(cli.SERIES_ORDER_MAX))
+    assert code == 0 and len(out.split(", ")) == cli.SERIES_ORDER_MAX + 1
+    code, out, err = run(capsys, "series", "f1", "--order", str(cli.SERIES_ORDER_MAX + 1))
+    assert code == 2 and out == "" and "--order" in err
+
+
+def test_negative_exact_constants_as_option_values(capsys):
+    code, out, _ = run(capsys, "series", "custom-omega", "--omega", "0", "-1/2", "--order", "4")
+    assert (code, out.strip()) == (0, "0, 1, -1/2, 3/16, -5/96")
+    code, out, _ = run(capsys, "eval", "gamma2", "--tau", "1/2", "-1/4", "0")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["inputs"]["tau"][1] == {"num": -1, "den": 4}
+    assert payload["value"] == {"re": -1 / 64, "im": 0.0}
+    code, out, _ = run(capsys, "eval", "gamma1", "--c", "-1/2", "-sqrt(2)")
+    assert code == 0 and json.loads(out)["inputs"]["c"][0] == {"num": -1, "den": 2}
+
+
+@pytest.mark.parametrize("argv", [
+    ("series", "f1", "--bogus", "-1"),
+    ("series", "custom-omega", "--omega", "0", "-x"),
+    ("eval", "gamma1", "--c", "1", "--bogus"),
+    ("eval", "gamma1", "--c", "-1/2", "-c"),
+])
+def test_unknown_options_still_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "unrecognized arguments" in err
+
+
 # --- eval -----------------------------------------------------------------------
 
 def test_eval_hankel_log_case_two(capsys):
@@ -172,11 +203,12 @@ NON_FINITE = ("nan", "inf", "-inf")
 
 @pytest.mark.parametrize("bad", NON_FINITE)
 def test_eval_rejects_non_finite_coefficients(capsys, bad):
-    # "--c=-inf" keeps argparse from reading "-inf" as an option
     code, out, err = run(capsys, "eval", "gamma1", f"--c={bad}")
     assert code == 2 and out == "" and "finite" in err
     code, out, _ = run(capsys, "eval", "gamma3", "--c", "0", "0", bad)
     assert code == 2 and out == ""
+    code, out, err = run(capsys, "eval", "gamma1", "--c", bad)
+    assert code == 2 and out == "" and "finite" in err
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
@@ -312,6 +344,8 @@ def test_lemma_y_past_the_float_range(capsys, params, line):
     # still decide the branch
     code, out, err = run(capsys, "lemma", "Y", "--", *params)
     assert (code, out.strip(), err) == (0, line, "")
+    # the separator is optional: a negative constant is never read as an option
+    assert run(capsys, "lemma", "Y", *params) == (code, out, err)
 
 
 @pytest.mark.parametrize("grid", ["99", "2001", "100000"])

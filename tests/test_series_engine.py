@@ -344,6 +344,34 @@ def seeded_driver(rng, order, mode, density):
 DENSITIES = (0.0, 0.3, 1.0)  # all-zero, sparse and dense drivers
 
 
+def edge_drivers(mode):
+    """Drivers the seeded ones never produce.  In both modes, monomials, whose
+    exponentials vanish outside the multiples of their degree.  In complex
+    mode also signed zero parts, products that underflow to -0.0
+    (1e-200 * -2e-200) and weights j*a_j that overflow."""
+    drivers = [monomial(n, 12, mode=mode, coefficient=-3) for n in (1, 2, 5)]
+    if mode == COMPLEX:
+        zeros = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+        drivers += [
+            series([0] + zeros * 3),
+            series([0, complex(-0.0, 1), zeros[3], complex(1, -0.0), zeros[1],
+                    complex(-0.0, -0.5)] + zeros),
+            series([0, 1e-200, -1e-200, complex(-1e-200, 1e-200), zeros[3],
+                    complex(1e-200, -0.0)], order=10),
+            series([0, 0, 1e308], order=8),
+            series([0, complex(0.5, -0.0), 0, complex(-0.0, 1e308), -0.0], order=8),
+        ]
+    return drivers
+
+
+def exp_outcome(route, a):
+    """The repr of the coefficients, or the message of the ValueError raised."""
+    try:
+        return repr(route(a).coeffs)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
 def same_coeffs(got, want):
     return got.mode == want.mode and repr(got.coeffs) == repr(want.coeffs)
 
@@ -351,10 +379,15 @@ def same_coeffs(got, want):
 @pytest.mark.parametrize("mode", [RATIONAL, COMPLEX])
 def test_exp_series_matches_the_dense_recurrence(mode):
     rng = random.Random(9)
-    for order in range(65):
-        density = DENSITIES[order % 3]
-        a = seeded_driver(rng, order, mode, density)
-        assert same_coeffs(exp_series(a), dense_exp_series(a)), (order, density, a)
+    seeded = [seeded_driver(rng, order, mode, DENSITIES[order % 3]) for order in range(65)]
+    outcomes = []
+    for a in seeded + edge_drivers(mode):
+        outcomes.append(exp_outcome(exp_series, a))
+        assert outcomes[-1] == exp_outcome(dense_exp_series, a), a
+    # the two drivers whose weights overflow are rejected by both routes
+    raised = [o for o in outcomes if o.startswith("ValueError")]
+    assert raised == ["ValueError: complex-mode coefficients must be finite"] * (
+        2 if mode == COMPLEX else 0)
 
 
 @pytest.mark.parametrize("mode", [RATIONAL, COMPLEX])
