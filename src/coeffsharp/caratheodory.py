@@ -72,9 +72,9 @@ class CaratheodoryPoint:
 
 @dataclass(frozen=True)
 class SchwarzCoeffs:
-    """Initial coefficients c1..c4 of a positive-real-part function.
+    """Initial coefficients c1..c3 of a positive-real-part function.
 
-    c2..c4 may be absent (None); every present coefficient obeys the class
+    c2 and c3 may be absent (None); every present coefficient obeys the class
     bound |c| <= 2 up to float rounding.  A coefficient may also be a numpy
     array, for evaluating functionals elementwise on a grid; each of its
     elements is checked the same way.
@@ -83,10 +83,9 @@ class SchwarzCoeffs:
     c1: complex
     c2: complex | None = None
     c3: complex | None = None
-    c4: complex | None = None
 
     def __post_init__(self):
-        for name in ("c1", "c2", "c3", "c4"):
+        for name in ("c1", "c2", "c3"):
             val = getattr(self, name)
             if val is None:
                 continue

@@ -107,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a coefficient functional")
     p_eval.add_argument("functional")
-    p_eval.add_argument("--c", nargs="+", metavar="CK", help="coefficients c1 [c2 c3 c4]")
+    p_eval.add_argument("--c", nargs="+", metavar="CK", help="coefficients c1 [c2 [c3]]")
     p_eval.add_argument("--tau", nargs=3, metavar="T", help="parameter triple tau1 tau2 tau3")
     p_eval.add_argument("--json", metavar="PATH")
     p_eval.set_defaults(handler=_cmd_eval)
@@ -220,8 +220,8 @@ def _cmd_eval(args, started) -> int:
         raise UsageError("supply exactly one of --c or --tau")
     if args.c is not None:
         vals = [parse_number(tok) for tok in args.c]
-        if not 1 <= len(vals) <= 4:
-            raise UsageError("--c takes 1 to 4 coefficients")
+        if not 1 <= len(vals) <= 3:
+            raise UsageError("--c takes 1 to 3 coefficients")
         source = SchwarzCoeffs(*vals)
         inputs = {"c": [_num_json(v) for v in vals]}
     else:

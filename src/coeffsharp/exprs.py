@@ -21,7 +21,11 @@ def parse_expr(text: str):
     """Parse an exact constant; Fraction when rational, float under sqrt."""
     s = text.strip()
     if s.startswith("-"):
-        return -parse_expr(s[1:])
+        return -_parse_unsigned(s[1:].strip(), text)
+    return _parse_unsigned(s, text)
+
+
+def _parse_unsigned(s: str, text: str):
     if s.startswith("sqrt(") and s.endswith(")"):
         inner = parse_expr(s[5:-1])
         if inner < 0:

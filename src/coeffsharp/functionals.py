@@ -1,10 +1,11 @@
-"""Closed-form coefficient functionals over (c1, c2, c3[, c4]) or tau triples.
+"""Closed-form coefficient functionals over (c1, c2, c3) or tau triples.
 
 All formulas are plain polynomial arithmetic, so they are exact over
 ``fractions.Fraction`` inputs and double precision over complex ones.
 The two moduli-difference functionals are intrinsically real; everything
 else returns a signed complex (or rational) value and callers take
-magnitudes.
+magnitudes.  The closed forms read c1..c3 as given; ``evaluate_functional``
+checks that the ones a functional reads are present and zero-fills the rest.
 """
 
 from __future__ import annotations
@@ -12,31 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .caratheodory import CaratheodoryPoint, SchwarzCoeffs, coeffs_from_point, mag_squared
-
-FUNCTIONAL_NAMES = (
-    "gamma1",
-    "gamma2",
-    "gamma3",
-    "Gamma1",
-    "Gamma2",
-    "H21_log",
-    "H21_log_inverse",
-    "diff_gamma",
-    "diff_Gamma",
-)
-
-# how many of c1..c3 each functional actually reads
-_REQUIRED_PREFIX = {
-    "gamma1": 1,
-    "gamma2": 2,
-    "gamma3": 3,
-    "Gamma1": 1,
-    "Gamma2": 2,
-    "H21_log": 3,
-    "H21_log_inverse": 3,
-    "diff_gamma": 2,
-    "diff_Gamma": 2,
-}
 
 __all__ = [
     "FUNCTIONAL_NAMES",
@@ -52,8 +28,6 @@ __all__ = [
     "hankel_log_tau",
     "hankel_log_inverse",
     "hankel_inverse_tau",
-    "diff_gamma_c",
-    "diff_Gamma_c",
     "moduli_diff_gamma",
     "moduli_diff_Gamma",
     "evaluate_functional",
@@ -65,7 +39,6 @@ class TaylorCoeffs:
     a2: complex
     a3: complex
     a4: complex
-    a5: complex | None = None
 
 
 @dataclass(frozen=True)
@@ -83,7 +56,6 @@ class InverseCoeffs:
     Gamma1: complex
     Gamma2: complex
     Gamma3: complex
-    A5: complex | None = None
 
 
 @dataclass(frozen=True)
@@ -103,30 +75,18 @@ class FunctionalValue:
         return abs(self.value)
 
 
-def _need(c: SchwarzCoeffs, count: int):
-    vals = (c.c1, c.c2, c.c3)
-    for i in range(count):
-        if vals[i] is None:
-            raise ValueError(f"c{i + 1} is required here but absent")
-    return tuple(v if v is not None else 0 for v in vals)
-
-
 def taylor_from_c(c: SchwarzCoeffs) -> TaylorCoeffs:
-    """Taylor coefficients a2..a4 (and a5 when c4 is present).
+    """Taylor coefficients a2..a4.
 
         a2 = c1/2
         a3 = c1^2/16 + c2/4
         a4 = -c1^3/96 + c1 c2/24 + c3/6
-        a5 = c1^4/192 - 5 c2 c1^2/192 + c1 c3/48 + c4/8
     """
-    c1, c2, c3 = _need(c, 3)
+    c1, c2, c3 = c.c1, c.c2, c.c3
     a2 = c1 / 2
     a3 = c1 * c1 / 16 + c2 / 4
     a4 = -(c1 ** 3) / 96 + c1 * c2 / 24 + c3 / 6
-    a5 = None
-    if c.c4 is not None:
-        a5 = c1 ** 4 / 192 - 5 * c2 * c1 * c1 / 192 + c1 * c3 / 48 + c.c4 / 8
-    return TaylorCoeffs(a2, a3, a4, a5)
+    return TaylorCoeffs(a2, a3, a4)
 
 
 def gamma_from_a(a: TaylorCoeffs) -> LogCoeffs:
@@ -143,18 +103,15 @@ def inverse_from_a(a: TaylorCoeffs) -> InverseCoeffs:
     A2 = -a2
     A3 = -a3 + 2 * a2 * a2
     A4 = -a4 + 5 * a2 * a3 - 5 * a2 ** 3
-    A5 = None
-    if a.a5 is not None:
-        A5 = -a.a5 + 6 * a4 * a2 - 21 * a3 * a2 * a2 + 3 * a3 * a3 + 14 * a2 ** 4
     G1 = -a2 / 2
     G2 = -(a3 - 3 * a2 * a2 / 2) / 2
     G3 = -(a4 - 4 * a2 * a3 + 10 * a2 ** 3 / 3) / 2
-    return InverseCoeffs(A2, A3, A4, G1, G2, G3, A5)
+    return InverseCoeffs(A2, A3, A4, G1, G2, G3)
 
 
 def hankel_log(c: SchwarzCoeffs):
     """gamma1*gamma3 - gamma2^2 as a polynomial in c1..c3."""
-    c1, c2, c3 = _need(c, 3)
+    c1, c2, c3 = c.c1, c.c2, c.c3
     return (-3 * c1 ** 4 - 8 * c1 * c1 * c2 - 48 * c2 * c2 + 64 * c1 * c3) / 3072
 
 
@@ -177,7 +134,7 @@ def hankel_log_tau(pt: CaratheodoryPoint):
 
 def hankel_log_inverse(c: SchwarzCoeffs):
     """Gamma1*Gamma3 - Gamma2^2 as a polynomial in c1..c3."""
-    c1, c2, c3 = _need(c, 3)
+    c1, c2, c3 = c.c1, c.c2, c.c3
     return (33 * c1 ** 4 - 56 * c1 * c1 * c2 - 48 * c2 * c2 + 64 * c1 * c3) / 3072
 
 
@@ -187,34 +144,32 @@ def hankel_inverse_tau(pt: CaratheodoryPoint):
     return (head + w * pt.tau3) / 192
 
 
-def diff_gamma_c(c1, c2):
-    """|-c1^2/32 + c2/8| - |c1/4|, elementwise on raw coefficients."""
-    return abs(-c1 * c1 / 32 + c2 / 8) - abs(c1) / 4
-
-
-def diff_Gamma_c(c1, c2):
-    """|5 c1^2/32 - c2/8| - |c1/4|, elementwise on raw coefficients."""
-    return abs(5 * c1 * c1 / 32 - c2 / 8) - abs(c1) / 4
-
-
 def moduli_diff_gamma(c: SchwarzCoeffs):
     """|gamma2| - |gamma1| = |-c1^2/32 + c2/8| - |c1/4|; real valued."""
-    return diff_gamma_c(*_need(c, 2)[:2])
+    c1, c2 = c.c1, c.c2
+    return abs(-c1 * c1 / 32 + c2 / 8) - abs(c1) / 4
 
 
 def moduli_diff_Gamma(c: SchwarzCoeffs):
     """|Gamma2| - |Gamma1| = |5 c1^2/32 - c2/8| - |c1/4|; real valued."""
-    return diff_Gamma_c(*_need(c, 2)[:2])
+    c1, c2 = c.c1, c.c2
+    return abs(5 * c1 * c1 / 32 - c2 / 8) - abs(c1) / 4
 
 
-def _filled(c: SchwarzCoeffs, count: int) -> SchwarzCoeffs:
-    # Zero-fill the trailing coefficients a route formally consumes but the
-    # functional provably never reads (they cancel out of the result).
-    _need(c, count)
-    if c.c2 is not None and c.c3 is not None:
-        return c
-    return SchwarzCoeffs(c.c1, c.c2 if c.c2 is not None else 0,
-                         c.c3 if c.c3 is not None else 0, c.c4)
+# name -> (how many of c1..c3 it reads, closed form in c1..c3, tau form or None)
+_FUNCTIONALS = {
+    "gamma1": (1, lambda c: gamma_from_a(taylor_from_c(c)).gamma1, None),
+    "gamma2": (2, lambda c: gamma_from_a(taylor_from_c(c)).gamma2, None),
+    "gamma3": (3, lambda c: gamma_from_a(taylor_from_c(c)).gamma3, None),
+    "Gamma1": (1, lambda c: inverse_from_a(taylor_from_c(c)).Gamma1, None),
+    "Gamma2": (2, lambda c: inverse_from_a(taylor_from_c(c)).Gamma2, None),
+    "H21_log": (3, hankel_log, hankel_log_tau),
+    "H21_log_inverse": (3, hankel_log_inverse, hankel_inverse_tau),
+    "diff_gamma": (2, moduli_diff_gamma, None),
+    "diff_Gamma": (2, moduli_diff_Gamma, None),
+}
+
+FUNCTIONAL_NAMES = tuple(_FUNCTIONALS)
 
 
 def evaluate_functional(name: str, source) -> FunctionalValue:
@@ -222,34 +177,22 @@ def evaluate_functional(name: str, source) -> FunctionalValue:
 
     Triples feed the Hankel determinants through their tau forms and
     everything else through the coefficient map; coefficients go straight
-    into the closed forms.
+    into the closed forms.  Coefficients the functional reads must be
+    present; the trailing ones it does not read are zero-filled, since they
+    cancel out of its value.
     """
-    if name not in FUNCTIONAL_NAMES:
+    if name not in _FUNCTIONALS:
         raise ValueError(f"unknown functional {name!r}")
+    count, form, tau_form = _FUNCTIONALS[name]
     if isinstance(source, CaratheodoryPoint):
-        if name == "H21_log":
-            return FunctionalValue(name, hankel_log_tau(source), source)
-        if name == "H21_log_inverse":
-            return FunctionalValue(name, hankel_inverse_tau(source), source)
-        value = _from_coeffs(name, coeffs_from_point(source))
+        value = tau_form(source) if tau_form else form(coeffs_from_point(source))
         return FunctionalValue(name, value, source)
-    if isinstance(source, SchwarzCoeffs):
-        return FunctionalValue(name, _from_coeffs(name, source), source)
-    raise ValueError("source must be a CaratheodoryPoint or SchwarzCoeffs")
-
-
-def _from_coeffs(name: str, c: SchwarzCoeffs):
-    c = _filled(c, _REQUIRED_PREFIX[name])
-    if name in ("gamma1", "gamma2", "gamma3"):
-        g = gamma_from_a(taylor_from_c(c))
-        return getattr(g, name)
-    if name in ("Gamma1", "Gamma2"):
-        inv = inverse_from_a(taylor_from_c(c))
-        return getattr(inv, name)
-    if name == "H21_log":
-        return hankel_log(c)
-    if name == "H21_log_inverse":
-        return hankel_log_inverse(c)
-    if name == "diff_gamma":
-        return moduli_diff_gamma(c)
-    return moduli_diff_Gamma(c)
+    if not isinstance(source, SchwarzCoeffs):
+        raise ValueError("source must be a CaratheodoryPoint or SchwarzCoeffs")
+    c, vals = source, (source.c1, source.c2, source.c3)
+    missing = [i for i, v in enumerate(vals) if v is None]
+    if missing:
+        if missing[0] < count:
+            raise ValueError(f"c{missing[0] + 1} is required here but absent")
+        c = SchwarzCoeffs(*(0 if v is None else v for v in vals))
+    return FunctionalValue(name, form(c), source)

@@ -103,12 +103,16 @@ def _y_pieces(A: float, B: float, C: float):
     # is formed from a/c: 4AC and C*C underflow and overflow long before it does.
     inner = 4 * (a / c) * (1 - c) * (1 + c)
     bb, outer = b * b, 4 * (1 + c) * (1 + c)
-    if not all(map(math.isfinite, (bb, inner, outer))):
-        if _wide_branch(a, b, c, inner, bb, outer) == "R.sqrt":  # 4*A*C may overflow
-            return _wide_sqrt(a, b, c), "R.sqrt"
-    if inner <= bb and b < 2 * (1 - c):
+    wide = not (math.isfinite(bb) and math.isfinite(inner) and math.isfinite(outer))
+    minus = b < 2 * (1 - c)  # without it, inner and bb decide nothing
+    if wide and minus:
+        _check_decided(inner, bb)
+    if inner <= bb and minus:
         return 1 - a + b * b / (4 * (1 - c)), "ii.parabola-minus"
-    if bb < min(outer, inner):
+    low = min(outer, inner)
+    if wide:
+        _check_decided(bb, low)
+    if bb < low:
         return 1 + a + b * b / (4 * (1 + c)), "ii.parabola-plus"
     # 4ac <= (a - c) b and 4ac <= (c - a) b, divided by a and by c: no 4a is
     # added to a b that absorbs it, and neither side can overflow
@@ -116,6 +120,8 @@ def _y_pieces(A: float, B: float, C: float):
         return a + b - c, "R.drop-c"
     if c > a and 4 * a <= (c - a) / c * b:
         return -a + b + c, "R.drop-a"
+    if wide:  # 4*A*C may overflow
+        return _wide_sqrt(a, b, c), "R.sqrt"
     four_ac = 4 * A * C
     value = (c + a) * math.sqrt(1 - bb / four_ac) if four_ac else math.inf
     if value == math.inf:  # 4AC underflowed to -0.0, or b^2/(4AC) overflowed; Y may not
@@ -133,29 +139,16 @@ def _wide_sqrt(a: float, b: float, c: float) -> float:
     return (c + a) / g * math.hypot(g, b)
 
 
-def _wide_branch(a, b, c, inner, bb, outer) -> str:
-    """The branch the opposite-sign ladder of :func:`_y_pieces` takes when some of its
-    quantities are not finite, by the same comparisons in the same order.
+def _check_decided(lhs: float, rhs: float) -> None:
+    """Reject a comparison of the opposite-sign ladder that rounding left undecided.
 
     An infinity on one side of a comparison still decides it rightly; a NaN,
     or an infinity on both sides, decides nothing, and the input is rejected.
+    The ``R.drop`` rungs compare 4c or 4a with at most b, so they always decide.
     """
-    # the first rung also needs b < 2(1 - c); without it, inner and bb decide nothing
-    minus_sides = (inner, bb) if b < 2 * (1 - c) else (0.0, 0.0)
-    for (lhs, rhs), picks, branch in (
-            (minus_sides, inner <= bb and b < 2 * (1 - c), "ii.parabola-minus"),
-            ((bb, min(outer, inner)), bb < min(outer, inner), "ii.parabola-plus")):
-        if math.isnan(lhs) or math.isnan(rhs) or (math.isinf(lhs) and math.isinf(rhs)):
-            raise ValueError("a branch condition compares two values that are not finite: "
-                             "the inputs are too large")
-        if picks:
-            return branch
-    # the R.drop rungs compare 4c or 4a with at most b, so they always decide
-    if a > c and 4 * c <= (a - c) / a * b:
-        return "R.drop-c"
-    if c > a and 4 * a <= (c - a) / c * b:
-        return "R.drop-a"
-    return "R.sqrt"
+    if math.isnan(lhs) or math.isnan(rhs) or (math.isinf(lhs) and math.isinf(rhs)):
+        raise ValueError("a branch condition compares two values that are not finite: "
+                         "the inputs are too large")
 
 
 def _finite(value: float) -> float:

@@ -45,7 +45,7 @@ def test_coeffs_reject_oversized():
     with pytest.raises(ValueError):
         SchwarzCoeffs(2.1)
     with pytest.raises(ValueError):
-        SchwarzCoeffs(0, 0, 0, complex(1.5, 1.5))
+        SchwarzCoeffs(0, 0, complex(1.5, 1.5))
 
 
 NON_FINITE = (math.nan, math.inf, -math.inf, complex(math.nan, 0), complex(0, math.inf))

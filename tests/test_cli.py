@@ -42,12 +42,13 @@ def test_parse_expr_surds():
 
 
 def test_parse_expr_rejects_garbage():
-    for bad in ("", "1/0", "sqrt(-1)", "2*3", "0.5"):
+    for bad in ("", "1/0", "sqrt(-1)", "2*3", "0.5", "--1/2", "sqrt(--4)", "- -1"):
         with pytest.raises(ValueError):
             parse_expr(bad)
     assert parse_number("0.5") == 0.5
-    with pytest.raises(ValueError):
-        parse_number("abc")
+    for bad in ("abc", "--1/2", "sqrt(--4)", "- -1"):  # one leading minus at most
+        with pytest.raises(ValueError):
+            parse_number(bad)
 
 
 # --- series ---------------------------------------------------------------------
@@ -196,6 +197,12 @@ def test_eval_usage_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "eval", "gamma1", "--c", "3")  # violates |c| <= 2
     assert code == 2
+
+
+@pytest.mark.parametrize("values", [("2", "2", "2", "2"), ("--1/2",), ("1/2", "sqrt(--4)")])
+def test_eval_rejects_a_fourth_coefficient_and_a_doubled_minus(capsys, values):
+    code, out, _ = run(capsys, "eval", "gamma1", "--c", *values)
+    assert code == 2 and out == ""
 
 
 NON_FINITE = ("nan", "inf", "-inf")

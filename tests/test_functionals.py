@@ -27,15 +27,15 @@ from coeffsharp.functionals import (
     moduli_diff_gamma,
     taylor_from_c,
 )
-from coeffsharp.series_engine import series, series_div, starlike_from_schwarz
+from coeffsharp.series_engine import compose, series, series_div, starlike_from_schwarz
 
-F1_COEFFS = SchwarzCoeffs(F(2), F(2), F(2), F(2))   # half-plane point
-F2_COEFFS = SchwarzCoeffs(F(0), F(2), F(0), F(0))   # z^2 point
-F3_COEFFS = SchwarzCoeffs(F(0), F(0), F(2), F(0))   # z^3 point
+F1_COEFFS = SchwarzCoeffs(F(2), F(2), F(2))   # half-plane point
+F2_COEFFS = SchwarzCoeffs(F(0), F(2), F(0))   # z^2 point
+F3_COEFFS = SchwarzCoeffs(F(0), F(0), F(2))   # z^3 point
 
 
 def random_coeffs(rng, radius=2.0):
-    vals = radius * rng.uniform(0, 1, 4) * np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
+    vals = radius * rng.uniform(0, 1, 3) * np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
     return SchwarzCoeffs(*map(complex, vals))
 
 
@@ -51,9 +51,7 @@ def random_point(rng):
 
 def test_taylor_at_half_plane_point():
     a = taylor_from_c(F1_COEFFS)
-    # a5 confirmed by the series pipeline below; the closed form and the
-    # pipeline agree on 5/24 exactly.
-    assert (a.a2, a.a3, a.a4, a.a5) == (1, F(3, 4), F(5, 12), F(5, 24))
+    assert (a.a2, a.a3, a.a4) == (1, F(3, 4), F(5, 12))
 
 
 def test_taylor_pipeline_confirms_a5_value():
@@ -66,7 +64,6 @@ def test_taylor_pipeline_confirms_a5_value():
 def test_taylor_at_second_point():
     a = taylor_from_c(SchwarzCoeffs(F(0), F(2), F(0)))
     assert (a.a2, a.a3, a.a4) == (0, F(1, 2), 0)
-    assert a.a5 is None
 
 
 def test_taylor_at_third_point():
@@ -101,8 +98,8 @@ def test_inverse_of_first_extremal():
 
 
 def test_inverse_of_identity():
-    inv = inverse_from_a(taylor_from_c(SchwarzCoeffs(F(0), F(0), F(0), F(0))))
-    assert (inv.A2, inv.A3, inv.A4, inv.A5) == (0, 0, 0, 0)
+    inv = inverse_from_a(taylor_from_c(SchwarzCoeffs(F(0), F(0), F(0))))
+    assert (inv.A2, inv.A3, inv.A4) == (0, 0, 0)
     assert (inv.Gamma1, inv.Gamma2, inv.Gamma3) == (0, 0, 0)
 
 
@@ -112,18 +109,17 @@ def test_inverse_of_second_extremal():
 
 
 def test_inverse_composition_is_identity():
-    # f(F(w)) = w up to degree 5 for the inverse coefficients
+    # f(F(w)) = w up to degree 4 for the inverse coefficients
     rng = np.random.default_rng(3)
     for _ in range(25):
         c = random_coeffs(rng)
         a = taylor_from_c(c)
         inv = inverse_from_a(a)
-        f = series([0, 1, a.a2, a.a3, a.a4, a.a5], order=5)
-        g = series([0, 1, inv.A2, inv.A3, inv.A4, inv.A5], order=5)
-        from coeffsharp.series_engine import compose
+        f = series([0, 1, a.a2, a.a3, a.a4], order=4)
+        g = series([0, 1, inv.A2, inv.A3, inv.A4], order=4)
         comp = compose(f, g)
         assert abs(comp.coeffs[1] - 1) < 1e-12
-        assert all(abs(comp.coeffs[k]) < 1e-10 for k in (0, 2, 3, 4, 5))
+        assert all(abs(comp.coeffs[k]) < 1e-10 for k in (0, 2, 3, 4))
 
 
 # --- Hankel determinants ----------------------------------------------------------------
@@ -247,23 +243,22 @@ def test_diff_Gamma_lower_witness_extracted_from_p():
 def test_closed_forms_match_series_pipeline_exact():
     rng = np.random.default_rng(15)
     for _ in range(60):
-        vals = [F(int(v), 8) for v in rng.integers(-16, 17, 4)]
+        vals = [F(int(v), 8) for v in rng.integers(-16, 17, 3)]
         c = SchwarzCoeffs(*vals)
         p = series([1, *vals], order=8)
-        f = starlike_from_schwarz(schwarz_from_p(p), 5)
+        f = starlike_from_schwarz(schwarz_from_p(p), 4)
         a = taylor_from_c(c)
-        assert (f.coeffs[2], f.coeffs[3], f.coeffs[4], f.coeffs[5]) == \
-            (a.a2, a.a3, a.a4, a.a5)
+        assert (f.coeffs[2], f.coeffs[3], f.coeffs[4]) == (a.a2, a.a3, a.a4)
 
 
 def test_closed_forms_match_series_pipeline_complex():
     rng = np.random.default_rng(16)
     for _ in range(1000):
         c = random_coeffs(rng)
-        p = series([1, c.c1, c.c2, c.c3, c.c4], order=8)
-        f = starlike_from_schwarz(schwarz_from_p(p), 5)
+        p = series([1, c.c1, c.c2, c.c3], order=8)
+        f = starlike_from_schwarz(schwarz_from_p(p), 4)
         a = taylor_from_c(c)
-        for got, want in zip(f.coeffs[2:6], (a.a2, a.a3, a.a4, a.a5)):
+        for got, want in zip(f.coeffs[2:5], (a.a2, a.a3, a.a4), strict=True):
             assert cmath.isclose(got, want, abs_tol=1e-12)
 
 

@@ -50,6 +50,9 @@ BRANCH_EXEMPLARS = [
 
 # magnitudes across the float range, subnormal to near overflow
 MAGNITUDES = (1e-320, 1e-200, 1e-160, 1e-155, 0.5, 1.0, 1.7, 1e154, 1e160, 1e300)
+# those magnitudes with opposite and equal signs of A and C, and with -0.0 for C or A
+SIGN_GRID = [t for a, b, c in itertools.product(MAGNITUDES, (0.0,) + MAGNITUDES, MAGNITUDES)
+             for t in ((-a, b, c), (a, b, c), (-a, b, -0.0), (-0.0, b, c))]
 
 
 def y_tol(value):
@@ -356,11 +359,8 @@ def exact_ladder_labels(A, B, C):
 def test_y_labels_match_the_exact_ladder_across_magnitudes():
     # where A*C, 4AC or C*C underflow or overflow, the branch is still the one
     # exact arithmetic takes; a zero, -0.0 included, is on the same-sign side
-    inputs = [(-1e-200, 1e-30, 1e-150)]
-    for a, b, c in itertools.product(MAGNITUDES, (0.0,) + MAGNITUDES, MAGNITUDES):
-        inputs += [(-a, b, c), (a, b, c), (-a, b, -0.0), (-0.0, b, c)]
     checked = 0
-    for A, B, C in inputs:
+    for A, B, C in [(-1e-200, 1e-30, 1e-150)] + SIGN_GRID:
         try:
             label = y_branch(YInput(A, B, C))
         except ValueError:  # the maximum, or a branch condition, is past the float range
@@ -368,6 +368,25 @@ def test_y_labels_match_the_exact_ladder_across_magnitudes():
         checked += 1
         assert label in exact_ladder_labels(A, B, C), (A, B, C, label)
     assert checked > 4000
+
+
+def test_y_rejects_exactly_the_undecidable_inputs_of_the_sign_grid():
+    # with opposite signs, |A|, |C| >= 1e154 and |B| >= 1e160, B^2 and
+    # 4(|A|/|C|)(1 - C^2) overflow to +inf and -inf, and the ii.parabola-plus
+    # rung compares the two; every other input of the grid is decided
+    rejected, accepted = {}, 0
+    for A, B, C in SIGN_GRID:
+        try:
+            y_closed_form(YInput(A, B, C))
+        except ValueError as exc:
+            rejected[A, B, C] = str(exc)
+            continue
+        accepted += 1
+    huge = (1e154, 1e160, 1e300)
+    assert set(rejected) == {(-a, b, c) for a in huge for b in (1e160, 1e300) for c in huge}
+    assert set(rejected.values()) == {
+        "a branch condition compares two values that are not finite: the inputs are too large"}
+    assert accepted == 4382
 
 
 def test_circle_argmax_across_magnitudes():
