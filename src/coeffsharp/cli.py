@@ -21,6 +21,7 @@ from .caratheodory import CaratheodoryPoint, SchwarzCoeffs
 from .exprs import parse_number
 from .functionals import FUNCTIONAL_NAMES, evaluate_functional
 from .lemmas import (
+    TAU1_GRID_MAX,
     Y_GRID_MAX,
     PsiInput,
     YInput,
@@ -124,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lemma.add_argument("--oracle", action="store_true",
                          help="also run the brute-force oracle")
     p_lemma.add_argument("--samples", type=int, default=None,
-                         help="tau1 grid size of the L23/L24 oracles, >= 2")
+                         help=f"tau1 grid size of the L23/L24 oracles, 2 to {TAU1_GRID_MAX}")
     p_lemma.add_argument("--grid", type=int, default=200,
                          help=f"radii of the Y oracle, 100 to {Y_GRID_MAX}")
     p_lemma.add_argument("--json", metavar="PATH")
@@ -341,8 +342,8 @@ def _cmd_lemma(args, started) -> int:
     # checked before anything is printed, as the oracle runs after the bound
     if not 100 <= args.grid <= Y_GRID_MAX:
         raise UsageError(f"--grid must lie in [100, {Y_GRID_MAX}]")
-    if args.samples is not None and args.samples < 2:
-        raise UsageError("--samples must be >= 2")
+    if args.samples is not None and not 2 <= args.samples <= TAU1_GRID_MAX:
+        raise UsageError(f"--samples must lie in [2, {TAU1_GRID_MAX}]")
     results: dict
     code = 0
     if args.lemma == "Y":

@@ -25,7 +25,7 @@ from numbers import Rational
 
 import numpy as np
 
-from ._search import tau1_argmax, unit_direction
+from ._search import TAU1_GRID_MAX, tau1_argmax, unit_direction
 from .caratheodory import c12, c3_parts
 
 _PSI_GRID, _PSI_ROUNDS, _PSI_SHRINK = 121, 10, 0.1  # psi_empirical's tau1 scans
@@ -34,6 +34,7 @@ _PSI_GRID, _PSI_ROUNDS, _PSI_SHRINK = 121, 10, 0.1  # psi_empirical's tau1 scans
 _Y_ROUNDS, _Y_SHRINK = 4, 0.05
 
 __all__ = [
+    "TAU1_GRID_MAX",
     "Y_GRID_MAX",
     "YInput",
     "PsiInput",
@@ -354,8 +355,8 @@ def lemma23_bound(v: float) -> float:
 
 
 def _check_samples(samples: int) -> None:
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
+    if not 2 <= samples <= TAU1_GRID_MAX:
+        raise ValueError(f"samples must lie in [2, {TAU1_GRID_MAX}], got {samples}")
 
 
 def lemma23_empirical(v: float, samples: int = 48) -> float:
@@ -363,7 +364,7 @@ def lemma23_empirical(v: float, samples: int = 48) -> float:
 
     With c1 = 2t and u = 1 - t^2, ``c2 - v c1^2 = (2 - 4v) t^2 + 2u tau2``,
     so its sup over the tau2 disk is ``|2t^2 - 4v t^2| + 2u``; that profile
-    is scanned at ``samples`` (at least 2) points of t in [0, 1].
+    is scanned at ``samples`` (2 to TAU1_GRID_MAX) points of t in [0, 1].
     """
     _check_samples(samples)
 
@@ -399,7 +400,7 @@ def lemma24_check(B: float, D: float, samples: int = 21) -> Lemma24Report:
     [0, 1].  ``at`` holds the maximizing triple, (tau2, tau3) exactly.
 
     Requires the hypothesis 0 <= B <= 1 and B(2B - 1) <= D <= B; anything
-    else is rejected, as is ``samples`` below 2.
+    else is rejected, as is ``samples`` outside [2, TAU1_GRID_MAX].
     """
     _check_samples(samples)
     if not (0 <= B <= 1):

@@ -43,7 +43,7 @@ from functools import cache, cached_property, partial
 
 import numpy as np
 
-from ._search import tau1_argmax
+from ._search import TAU1_GRID_MAX, tau1_argmax
 from .caratheodory import (
     CaratheodoryPoint,
     SchwarzCoeffs,
@@ -91,7 +91,9 @@ class SearchConfig:
     tolerance_exceed: float = 1e-9
 
     def __post_init__(self):
-        for name in ("grid_tau1", "grid_r", "grid_theta"):
+        if not 2 <= self.grid_tau1 <= TAU1_GRID_MAX:
+            raise ValueError(f"grid_tau1 must lie in [2, {TAU1_GRID_MAX}]")
+        for name in ("grid_r", "grid_theta"):
             if getattr(self, name) < 2:
                 raise ValueError(f"{name} must be >= 2")
         if self.refinement_rounds < 0:
@@ -193,30 +195,33 @@ class Theorem:
         return 1.0 if self.bound.direction == "max" else -1.0
 
     @cached_property
-    def _coefficients(self) -> tuple:
-        """Float (A, B, C, W, offset) polynomials in tau1; derived on first use."""
+    def _coefficients(self) -> np.ndarray:
+        """(A, B, C, W, offset) in tau1 as the rows of one (5, 5) float array,
+        highest degree first (no offset is a row of zeros), so that one
+        :func:`_horner` pass over its transpose evaluates all five; derived
+        on first use."""
         polys = _tau1_polynomials(self.modulus)
-        offset = [0]
+        offset = (0,) * len(_NODES)
         if self.offset is not None:
             offset, *rest = _tau1_polynomials(self.offset)
             if any(any(p) for p in rest):
                 raise ValueError(f"{self.offset} depends on tau2 or tau3")
         if self.sign < 0 and any(any(p) for p in polys[2:]):
             raise ValueError(f"{self.id}: only |A + B tau2| has a closed-form infimum here")
-        return tuple(np.array([float(c) for c in p]) for p in (*polys, offset))
+        return np.array([[float(c) for c in p] for p in (*polys, offset)])
 
     def _at(self, t1: float) -> tuple:
         """(A, B, C, W, offset) at one tau1, as floats."""
-        return tuple(float(np.polyval(p, t1)) for p in self._coefficients)
+        return tuple(_horner(self._coefficients.T, t1).tolist())
 
-    @property
+    @cached_property
     def _affine(self) -> bool:  # C = W = 0: the functional is |A + B tau2|
-        return not (self._coefficients[2].any() or self._coefficients[3].any())
+        return not self._coefficients[2:4].any()
 
     def profile(self, t1) -> np.ndarray:
         """``sign`` times the extremum over (tau2, tau3) at each tau1: the
         function of tau1 alone that the search maximizes."""
-        A, B, C, W, offset = (np.polyval(p, t1) for p in self._coefficients)
+        A, B, C, W, offset = _horner(self._coefficients.T[:, :, None], t1)
         if not self._affine:
             modulus = form_max(A, B, C, W)
         elif self.sign > 0:

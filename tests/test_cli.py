@@ -290,6 +290,23 @@ def test_verify_results_deterministic(tmp_path, capsys):
     assert a["results"] == b["results"]
 
 
+GOLDEN = json.loads((Path(__file__).parent / "data" / "verify_golden.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_verify_all_results_match_the_golden_file(tmp_path, capsys, name):
+    # made by the scan/refine loop that rebuilt each window with linspace and
+    # np.unique, and np.polyval per polynomial: the results, evaluation
+    # counts included, must not move by a bit
+    cfg = tmp_path / "search.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in GOLDEN[name]["overrides"].items()))
+    out_json = tmp_path / "v.json"
+    code, _, _ = run(capsys, "verify", "all", "--config", str(cfg), "--json", str(out_json))
+    assert code == 0
+    got = json.loads(out_json.read_text())["results"]
+    assert json.dumps(got) == json.dumps(GOLDEN[name]["results"])
+
+
 def test_verify_unknown_theorem(capsys):
     code, _, err = run(capsys, "verify", "bogus")
     assert code == 2 and "unknown theorem" in err
@@ -366,6 +383,21 @@ def test_lemma_y_grid_out_of_range_exits_two(capsys, grid):
 def test_lemma_samples_below_two_exit_two(capsys, argv, samples):
     code, out, err = run(capsys, "lemma", *argv, "--samples", samples)
     assert code == 2 and out == "" and "--samples" in err
+
+
+@pytest.mark.parametrize("argv", [("L23", "1/4", "--oracle"), ("L24", "1/4", "0")])
+@pytest.mark.parametrize("samples", ["100001", "1000000000"])
+def test_lemma_samples_above_the_cap_exit_two(capsys, argv, samples):
+    code, out, err = run(capsys, "lemma", *argv, "--samples", samples)
+    assert code == 2 and out == "" and "--samples must lie in [2, 100000]" in err
+
+
+@pytest.mark.parametrize("grid", ["1", "100001", "1000000000"])
+def test_verify_grid_outside_the_cap_exits_two(tmp_path, capsys, grid):
+    cfg = tmp_path / "search.cfg"
+    cfg.write_text(f"grid_tau1 = {grid}\n")
+    code, out, err = run(capsys, "verify", "gamma1", "--config", str(cfg))
+    assert code == 2 and out == "" and "grid_tau1 must lie in [2, 100000]" in err
 
 
 def test_lemma_l23(capsys):

@@ -11,6 +11,7 @@ import pytest
 from coeffsharp._search import tau1_argmax
 from coeffsharp.caratheodory import CaratheodoryPoint, coeffs_from_point
 from coeffsharp.lemmas import (
+    TAU1_GRID_MAX,
     PsiInput,
     YInput,
     lemma23_bound,
@@ -537,6 +538,15 @@ def test_lemma23_empirical_dominates_the_two_dimensional_scan():
 
 @pytest.mark.parametrize("samples", [1, 0, -3])
 def test_oracles_reject_fewer_than_two_samples(samples):
+    with pytest.raises(ValueError, match="samples"):
+        lemma23_empirical(0.25, samples=samples)
+    with pytest.raises(ValueError, match="samples"):
+        lemma24_check(0.25, 0.0, samples=samples)
+
+
+@pytest.mark.parametrize("samples", [TAU1_GRID_MAX + 1, 10 ** 9])
+def test_oracles_reject_samples_above_the_cap(samples):
+    # rejected before any grid is allocated
     with pytest.raises(ValueError, match="samples"):
         lemma23_empirical(0.25, samples=samples)
     with pytest.raises(ValueError, match="samples"):

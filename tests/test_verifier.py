@@ -8,12 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from coeffsharp import verifier
 from coeffsharp.caratheodory import CaratheodoryPoint, coeffs_from_point
 from coeffsharp.functionals import evaluate_functional, hankel_inverse_tau
+from coeffsharp.lemmas import TAU1_GRID_MAX, form_max
 from coeffsharp.verifier import (
     THEOREM_IDS,
     THEOREMS,
     SearchConfig,
+    _tau1_polynomials,
     objective_slice,
     sharpness_witness,
     verify,
@@ -63,6 +66,11 @@ def test_config_validation():
         SearchConfig(tolerance_attain=math.inf)
     with pytest.raises(ValueError, match="finite"):
         SearchConfig(tolerance_exceed=-math.inf)
+    # grids are capped before any scan allocates them
+    for grid in (TAU1_GRID_MAX + 1, 10 ** 9):
+        with pytest.raises(ValueError, match="grid_tau1"):
+            SearchConfig(grid_tau1=grid)
+    assert SearchConfig(grid_tau1=TAU1_GRID_MAX).grid_tau1 == TAU1_GRID_MAX
 
 
 def test_verify_rejects_unknown_id():
@@ -201,6 +209,40 @@ def test_profile_matches_dense_tau2_scan(theorem_id):
         pt = th.maximizer(t1)
         at = objective_slice(theorem_id, t1, np.array([pt.tau2]), np.array([pt.tau3]))
         assert abs(float(at.ravel()[0]) - value) <= 1e-12, (t1, value)
+
+
+def polyval_rows(th, t1):
+    """A, B, C, W and the offset at t1, each by ``np.polyval`` of its derived
+    polynomial: the oracle of the stacked Horner pass."""
+    polys = _tau1_polynomials(th.modulus)
+    offset = (0,) if th.offset is None else _tau1_polynomials(th.offset)[0]
+    return [np.polyval([float(c) for c in p], t1) for p in (*polys, offset)]
+
+
+@pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+def test_stacked_horner_is_polyval_bit_for_bit(theorem_id, monkeypatch):
+    th = THEOREMS[theorem_id]
+    t1 = np.linspace(0.0, 1.0, 1001)
+    want = polyval_rows(th, t1)
+    seen = []
+    horner = verifier._horner
+    monkeypatch.setattr(verifier, "_horner", lambda *args: seen.append(horner(*args)) or seen[-1])
+    got = th.profile(t1)
+    # the one pass that profile makes yields all five rows
+    assert len(seen) == 1
+    assert [r.tobytes() for r in seen[0]] == [r.tobytes() for r in want]
+    A, B, C, W, offset = want
+    if not th._affine:
+        modulus = form_max(A, B, C, W)
+    elif th.sign > 0:
+        modulus = np.abs(A) + np.abs(B)
+    else:
+        modulus = np.maximum(0.0, np.abs(A) - np.abs(B))
+    assert got.tobytes() == (th.sign * (modulus - np.abs(offset))).tobytes()
+    for t in (0.0, 1.0, 0.5, *t1[1::97].tolist(), math.sqrt(2 / 11)):
+        at = th._at(t)
+        assert [v.hex() for v in at] == [float(r).hex() for r in polyval_rows(th, t)], t
+        assert [v.hex() for v in at] == [float(r[0]).hex() for r in polyval_rows(th, np.array([t]))]
 
 
 def test_reports_carry_counts_and_points():
