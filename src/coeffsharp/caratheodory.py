@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from fractions import Fraction
 from numbers import Number, Rational
 
 import numpy as np
@@ -26,6 +27,10 @@ from .series_engine import TruncatedSeries, series, series_div
 
 TAU_BOUNDARY_TOL = 1e-12  # absorbs float rounding on |tau| = 1 only
 COEFF_BOUND_TOL = 1e-9
+# squared bounds on |tau2|, |tau3| and |c_k|, as a float and as its exact value:
+# a rational |x|^2 is compared with the exact one, since it may overflow a float
+_TAU_BOUND_SQ = ((1.0 + TAU_BOUNDARY_TOL) ** 2, Fraction((1.0 + TAU_BOUNDARY_TOL) ** 2))
+_COEFF_BOUND_SQ = ((2.0 + COEFF_BOUND_TOL) ** 2, Fraction((2.0 + COEFF_BOUND_TOL) ** 2))
 
 __all__ = [
     "CaratheodoryPoint",
@@ -44,8 +49,10 @@ def mag_squared(x):
     return x.real * x.real + x.imag * x.imag
 
 
-def _in_unit_disk(x) -> bool:
-    return float(mag_squared(x)) <= (1.0 + TAU_BOUNDARY_TOL) ** 2
+def _mag_within(x, bound_sq: tuple) -> bool:
+    """``|x|^2`` at most a squared bound ``(float, exact Fraction)``: a rational
+    x is compared with the exact value, anything else with the float."""
+    return mag_squared(x) <= bound_sq[isinstance(x, Rational)]
 
 
 @dataclass(frozen=True)
@@ -66,7 +73,7 @@ class CaratheodoryPoint:
             val = getattr(self, name)
             if not isinstance(val, Number):
                 raise ValueError(f"{name} must be a number")
-            if not _in_unit_disk(val):
+            if not _mag_within(val, _TAU_BOUND_SQ):
                 raise ValueError(f"|{name}| must be <= 1, got {val!r}")
 
 
@@ -93,12 +100,12 @@ class SchwarzCoeffs:
                 if not isinstance(val, np.ndarray):
                     raise ValueError(f"{name} must be a number")
                 # NaN fails the comparison too
-                if not (mag_squared(val) <= (2.0 + COEFF_BOUND_TOL) ** 2).all():
+                if not (mag_squared(val) <= _COEFF_BOUND_SQ[0]).all():
                     raise ValueError(f"every {name} must be finite, with |{name}| <= 2")
                 continue
             if not isinstance(val, Rational) and not cmath.isfinite(val):
                 raise ValueError(f"{name} must be finite, got {val!r}")
-            if float(mag_squared(val)) > (2.0 + COEFF_BOUND_TOL) ** 2:
+            if not _mag_within(val, _COEFF_BOUND_SQ):
                 raise ValueError(f"|{name}| must be <= 2, got {val!r}")
 
 
@@ -118,10 +125,18 @@ def c3_parts(t1, tau2):
 
 
 def coeffs_from_point(pt: CaratheodoryPoint) -> SchwarzCoeffs:
-    """Map a parameter triple to (c1, c2, c3); exact over rational inputs."""
-    c1, c2 = c12(pt.tau1, pt.tau2)
-    head, w = c3_parts(pt.tau1, pt.tau2)
-    return SchwarzCoeffs(c1, c2, head + w * pt.tau3)
+    """Map a parameter triple to (c1, c2, c3); exact over rational inputs.
+
+    The map runs at most once per point.  The point keeps its result in its
+    instance dict, outside the dataclass fields, so eq, hash, repr and
+    ``dataclasses.replace`` never see it."""
+    c = pt.__dict__.get("_coeffs")
+    if c is None:
+        c1, c2 = c12(pt.tau1, pt.tau2)
+        head, w = c3_parts(pt.tau1, pt.tau2)
+        c = SchwarzCoeffs(c1, c2, head + w * pt.tau3)
+        object.__setattr__(pt, "_coeffs", c)  # the point is frozen
+    return c
 
 
 def _on_circle(x) -> bool:

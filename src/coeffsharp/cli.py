@@ -40,7 +40,7 @@ from .verifier import THEOREM_IDS, SearchConfig, VerificationReport, verify
 
 SCHEMA_VERSION = 1
 
-SERIES_ORDER_MAX = 512  # f1 at this order takes about 4 s; its coefficients grow with the order
+SERIES_ORDER_MAX = 512  # f1 at this order takes about 2 s; its coefficients grow with the order
 
 _EVAL_ALIASES = {"H21_inverse": "H21_log_inverse"}
 
@@ -332,10 +332,18 @@ def _cmd_verify(args, started) -> int:
 
 # --- lemma --------------------------------------------------------------------
 
+def _lemma_floats(args, tokens) -> list:
+    """The lemma parameters as floats; a rational too large for one is rejected."""
+    try:
+        return [float(parse_number(tok)) for tok in tokens]
+    except OverflowError:
+        raise UsageError(f"lemma {args.lemma}: a parameter is too large for a float") from None
+
+
 def _lemma_params(args, count: int, label: str):
     if len(args.params) != count:
         raise UsageError(f"lemma {args.lemma} needs {count} parameters: {label}")
-    return [parse_number(tok) for tok in args.params]
+    return _lemma_floats(args, args.params)
 
 
 def _cmd_lemma(args, started) -> int:
@@ -347,7 +355,7 @@ def _cmd_lemma(args, started) -> int:
     results: dict
     code = 0
     if args.lemma == "Y":
-        a, b, c = (float(v) for v in _lemma_params(args, 3, "A B C"))
+        a, b, c = _lemma_params(args, 3, "A B C")
         yin = YInput(a, b, c)
         closed = y_closed_form(yin)
         results = {"lemma": "Y", "inputs": [a, b, c], "closed_form": closed,
@@ -359,7 +367,7 @@ def _cmd_lemma(args, started) -> int:
             results["discrepancy"] = abs(closed - brute)
             print(f"oracle: {brute!r}  |difference|: {results['discrepancy']:.3e}")
     elif args.lemma == "L23":
-        (v,) = (float(x) for x in _lemma_params(args, 1, "v"))
+        (v,) = _lemma_params(args, 1, "v")
         bound = lemma23_bound(v)
         results = {"lemma": "L23", "inputs": [v], "bound": bound}
         print(f"bound: {bound!r}")
@@ -369,7 +377,7 @@ def _cmd_lemma(args, started) -> int:
             results["discrepancy"] = abs(bound - emp)
             print(f"oracle: {emp!r}  |difference|: {results['discrepancy']:.3e}")
     elif args.lemma == "L24":
-        b, d = (float(x) for x in _lemma_params(args, 2, "B D"))
+        b, d = _lemma_params(args, 2, "B D")
         report = lemma24_check(b, d, samples=args.samples or 21)
         results = {"lemma": "L24", "inputs": [b, d],
                    "empirical_max": report.empirical_max, "passed": report.passed}
@@ -381,7 +389,7 @@ def _cmd_lemma(args, started) -> int:
         if len(args.params) != 4 or args.params[0] not in ("plus", "minus"):
             raise UsageError("lemma L41 needs: plus|minus B1 B2 B3")
         side = args.params[0]
-        b1, b2, b3 = (float(parse_number(tok)) for tok in args.params[1:])
+        b1, b2, b3 = _lemma_floats(args, args.params[1:])
         pin = PsiInput(b1, b2, b3)
         bound = psi_plus_bound(pin) if side == "plus" else psi_minus_bound(pin)
         results = {"lemma": "L41", "side": side, "inputs": [b1, b2, b3], "bound": bound}

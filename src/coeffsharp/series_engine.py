@@ -18,9 +18,16 @@ by ``omega = z**n`` is zero outside the degrees ``1 + j n``, and the series
 its recurrences exponentiate outside the multiples of ``n``.  So each
 recurrence forms its nonzero weights ``j a_j`` once and sums only the terms
 whose two factors are both nonzero, in the order of the plain recurrence.
-The results are those of the plain recurrence, bit for bit:
+In rational mode it sums them over the integers: each term is a product of
+numerators over a product of denominators, the terms are put over the lcm
+``L`` of those products, and the coefficient is the one ``Fraction`` of
+their integer sum over ``L k``, reduced once instead of after every
+``Fraction`` product, sum and quotient.  The results are those of the plain
+recurrence, bit for bit:
 
-* in rational mode the arithmetic is exact, so a zero term changes nothing;
+* in rational mode the arithmetic is exact, so a zero term changes nothing,
+  and a reduced ``Fraction`` is canonical: the same value has the same
+  numerator and denominator whichever way it was summed;
 * in complex mode the accumulator starts at ``+0j`` and a sum of floats is
   ``-0.0`` only when both addends are, so no part of it is ever ``-0.0``; a
   zero factor times a finite one is ``+-0``, and adding that to the
@@ -34,6 +41,7 @@ The results are those of the plain recurrence, bit for bit:
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Number, Rational
@@ -242,16 +250,20 @@ def exp_series(a: TruncatedSeries) -> TruncatedSeries:
     constant term, ``k e_k = sum_{j=1..k} (j a_j) e_{k-j}`` (Knuth, TAOCP
     vol. 2, 4.7), so rational mode stays exact.  The nonzero weights
     ``j a_j`` are formed once, in increasing ``j``; each ``e_k`` sums, in that
-    order, only the terms with ``j <= k`` and ``e_{k-j} != 0``.  The module
-    docstring shows why the skipped zero terms leave every result unchanged.
+    order, only the terms with ``j <= k`` and ``e_{k-j} != 0``.  Complex mode
+    accumulates them in a complex double; rational mode sums them as
+    integers over one common denominator (:func:`_exp_rational`).  The
+    module docstring shows why neither the skipped zero terms nor the integer
+    sum changes any result.
     """
     if a.coeffs[0] != 0:
         raise ValueError("exp_series requires a zero constant term")
     terms = [(j, j * c) for j, c in enumerate(a.coeffs) if c]
-    zero = _coerce(0, a.mode)
-    out = [_coerce(1, a.mode)]
+    if a.mode == RATIONAL:
+        return TruncatedSeries(_exp_rational(terms, a.order), RATIONAL)
+    out = [1 + 0j]
     for k in range(1, a.order + 1):
-        acc = zero
+        acc = 0j
         for j, w in terms:
             if j > k:
                 break
@@ -260,6 +272,30 @@ def exp_series(a: TruncatedSeries) -> TruncatedSeries:
                 acc += w * e
         out.append(acc / k)
     return TruncatedSeries(tuple(out), a.mode)
+
+
+def _exp_rational(terms: list, order: int) -> tuple:
+    """``e_0 .. e_order`` of :func:`exp_series` for the nonzero rational weights
+    ``terms``, a list of ``(j, j a_j)``: with the numerators and denominators
+    kept as integers, ``e_k = Fraction(sum(n * (L // d)), L k)`` over the
+    terms ``n / d`` of ``k e_k`` and their denominators' lcm ``L``."""
+    weights = [(j, w.numerator, w.denominator) for j, w in terms]
+    nums, dens, out = [1], [1], [Fraction(1)]
+    for k in range(1, order + 1):
+        ns, ds = [], []
+        for j, wn, wd in weights:
+            if j > k:
+                break
+            en = nums[k - j]
+            if en:
+                ns.append(wn * en)
+                ds.append(wd * dens[k - j])
+        lcm = math.lcm(*ds)
+        e = Fraction(sum([n * (lcm // d) for n, d in zip(ns, ds)]), lcm * k)
+        out.append(e)
+        nums.append(e.numerator)
+        dens.append(e.denominator)
+    return tuple(out)
 
 
 def log_series(a: TruncatedSeries) -> TruncatedSeries:

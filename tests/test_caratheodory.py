@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from coeffsharp.caratheodory import (
+    COEFF_BOUND_TOL,
+    TAU_BOUNDARY_TOL,
     CaratheodoryPoint,
     SchwarzCoeffs,
     c3_parts,
@@ -46,6 +48,39 @@ def test_coeffs_reject_oversized():
         SchwarzCoeffs(2.1)
     with pytest.raises(ValueError):
         SchwarzCoeffs(0, 0, complex(1.5, 1.5))
+
+
+HUGE = 10**400  # exact, but past the float range
+
+
+def test_huge_rationals_are_rejected_exactly():
+    for big in (HUGE, F(HUGE, 3), F(-HUGE, 7)):
+        with pytest.raises(ValueError, match="<= 2"):
+            SchwarzCoeffs(big)
+        with pytest.raises(ValueError, match="<= 2"):
+            SchwarzCoeffs(0, 0, big)
+        with pytest.raises(ValueError, match="<= 1"):
+            CaratheodoryPoint(0, big, 0)
+        with pytest.raises(ValueError, match="<= 1"):
+            CaratheodoryPoint(0, 0, big)
+    # huge numerators and denominators with a small value are fine
+    CaratheodoryPoint(F(HUGE, HUGE + 1), F(-HUGE, HUGE + 1), F(1, HUGE))
+    SchwarzCoeffs(F(2 * HUGE - 1, HUGE), F(1, HUGE), F(-2 * HUGE, HUGE))
+
+
+def test_rational_bounds_are_the_exact_values_of_the_float_bounds():
+    # x_in^2 <= bound < x_out^2, both within 1e-59 of the bound: as floats the
+    # two squares round to the same value, so only an exact test tells them apart
+    scale = 10**60
+    for bound, build in (((2.0 + COEFF_BOUND_TOL) ** 2, SchwarzCoeffs),
+                         ((1.0 + TAU_BOUNDARY_TOL) ** 2, lambda x: CaratheodoryPoint(0, x, 0))):
+        root = math.isqrt(F(bound) * scale * scale // 1)
+        x_in, x_out = F(root, scale), F(root + 1, scale)
+        assert float(x_in * x_in) == float(x_out * x_out) == bound
+        build(x_in)
+        build(-x_in)
+        with pytest.raises(ValueError):
+            build(x_out)
 
 
 NON_FINITE = (math.nan, math.inf, -math.inf, complex(math.nan, 0), complex(0, math.inf))

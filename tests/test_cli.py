@@ -247,6 +247,28 @@ def test_lemma_rejects_overflowing_results(capsys, argv):
     assert code == 2 and out == "" and "finite" in err
 
 
+HUGE = "1" + "0" * 400  # an exact integer of 401 digits, past the float range
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "gamma1", "--c", HUGE),
+    ("eval", "gamma1", "--tau", "0", HUGE, "0"),
+    ("lemma", "Y", HUGE, "0", "0"),
+    ("lemma", "L23", HUGE),
+    ("lemma", "L24", HUGE, "0"),
+    ("lemma", "L41", "plus", "1", "1", f"-{HUGE}"),
+], ids=["eval-c", "eval-tau", "Y", "L23", "L24", "L41"])
+def test_huge_exact_input_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_series_takes_a_huge_exact_omega(capsys):
+    code, out, _ = run(capsys, "series", "custom-omega", "--omega", "0", HUGE, "--order", "3")
+    big = F(int(HUGE))
+    assert code == 0 and out.strip() == f"0, 1, {big}, {3 * big * big / 4}"
+
+
 def test_manifest_refuses_non_finite_json(tmp_path):
     from coeffsharp.cli import _write_manifest
 
@@ -305,6 +327,20 @@ def test_verify_all_results_match_the_golden_file(tmp_path, capsys, name):
     assert code == 0
     got = json.loads(out_json.read_text())["results"]
     assert json.dumps(got) == json.dumps(GOLDEN[name]["results"])
+
+
+SERIES_GOLDEN = json.loads((Path(__file__).parent / "data" / "series_golden.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_GOLDEN))
+def test_series_results_match_the_golden_file(tmp_path, capsys, name):
+    # made by the series engine that summed each coefficient's terms as
+    # Fractions one by one, in both modes: not a bit may move
+    out_json = tmp_path / "s.json"
+    code, _, _ = run(capsys, *SERIES_GOLDEN[name]["args"], "--json", str(out_json))
+    assert code == 0
+    got = json.loads(out_json.read_text())["results"]
+    assert json.dumps(got) == json.dumps(SERIES_GOLDEN[name]["results"])
 
 
 def test_verify_unknown_theorem(capsys):

@@ -1,12 +1,14 @@
 """Closed-form functionals: frozen values, route equivalences, invariances."""
 
 import cmath
+import dataclasses
 import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from coeffsharp import caratheodory
 from coeffsharp.caratheodory import (
     CaratheodoryPoint,
     SchwarzCoeffs,
@@ -294,6 +296,77 @@ def test_evaluate_functional_validates_full_coefficients_once(monkeypatch):
     del calls[:]
     assert evaluate_functional("gamma1", SchwarzCoeffs(F(2))).value == F(1, 2)
     assert len(calls) == 2  # the partial input and its zero-filled copy
+
+
+# --- the coefficients a point keeps ----------------------------------------------------------
+
+EXACT_POINT = (F(3, 16), F(-5, 16), F(7, 16))
+
+
+def test_points_equal_whether_or_not_their_coefficients_were_computed():
+    for taus in (EXACT_POINT, (0.25, complex(0.3, -0.4), complex(-0.5, 0.1))):
+        p, q = CaratheodoryPoint(*taus), CaratheodoryPoint(*taus)
+        before = repr(p)
+        c = coeffs_from_point(p)
+        assert coeffs_from_point(p) is c  # kept, not mapped again
+        assert p == q and q == p and hash(p) == hash(q)
+        assert repr(p) == repr(q) == before
+        assert len({p, q}) == 1
+        coeffs_from_point(q)
+        assert p == q and hash(p) == hash(q)
+
+
+def test_replace_makes_a_point_with_its_own_coefficients():
+    p = CaratheodoryPoint(*EXACT_POINT)
+    coeffs_from_point(p)
+    same = dataclasses.replace(p)
+    assert same == p and repr(same) == repr(p) and "_coeffs" not in vars(same)
+    moved = dataclasses.replace(p, tau3=F(-1, 2))
+    assert repr(moved) == "CaratheodoryPoint(tau1=Fraction(3, 16), tau2=Fraction(-5, 16), " \
+        "tau3=Fraction(-1, 2))"
+    want = coeffs_from_point(CaratheodoryPoint(*EXACT_POINT[:2], F(-1, 2)))
+    assert coeffs_from_point(moved) == want != coeffs_from_point(p)
+
+
+def test_nine_functionals_on_a_point_map_its_coefficients_once(monkeypatch):
+    calls = []
+    map_c3 = caratheodory.c3_parts
+
+    def counted(*args):
+        calls.append(args)
+        return map_c3(*args)
+
+    monkeypatch.setattr(caratheodory, "c3_parts", counted)
+    point = CaratheodoryPoint(*EXACT_POINT)
+    for name in FUNCTIONAL_NAMES:
+        evaluate_functional(name, point)
+    assert len(calls) == 1
+
+
+def fresh_coeffs(pt):
+    """(c1, c2, c3) mapped afresh, past the coefficients the point keeps."""
+    c1, c2 = caratheodory.c12(pt.tau1, pt.tau2)
+    head, w = caratheodory.c3_parts(pt.tau1, pt.tau2)
+    return SchwarzCoeffs(c1, c2, head + w * pt.tau3)
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_functionals_on_a_point_match_the_coefficient_route(kind):
+    rng = np.random.default_rng(16)
+    tau_forms = {"H21_log": hankel_log_tau, "H21_log_inverse": hankel_inverse_tau}
+    for _ in range(20):
+        if kind == "exact":
+            k1, k2, k3 = (int(k) for k in rng.integers(-16, 17, 3))
+            pt = CaratheodoryPoint(F(abs(k1), 16), F(k2, 16), F(k3, 16))
+        else:
+            pt = random_point(rng)
+        c = fresh_coeffs(pt)
+        for name in FUNCTIONAL_NAMES:  # the first call maps, the others reuse
+            got = evaluate_functional(name, pt).value
+            want = tau_forms[name](pt) if name in tau_forms else evaluate_functional(name, c).value
+            assert repr(got) == repr(want), (name, pt)
+            if kind == "exact":  # every route is exact, the tau forms included
+                assert repr(got) == repr(evaluate_functional(name, c).value), (name, pt)
 
 
 def test_evaluate_functional_rejects_unknown_or_partial():

@@ -1,6 +1,7 @@
 """Series algebra: arithmetic, composition, exp/log/cosh, golden expansions."""
 
 import doctest
+import math
 import random
 from fractions import Fraction as F
 
@@ -376,6 +377,24 @@ def same_coeffs(got, want):
     return got.mode == want.mode and repr(got.coeffs) == repr(want.coeffs)
 
 
+#: divisible by every prime below 64, so ``i * m + 1`` for distinct i in
+#: 1..64 are pairwise coprime whenever 61# divides m: a prime dividing two
+#: of them divides their difference (j - i) m, but not m
+PRIMORIAL_61 = math.prod(p for p in range(2, 62) if all(p % q for q in range(2, p)))
+
+
+def wide_driver(rng, order):
+    """A rational series with zero constant term and up to five nonzero
+    coefficients at random degrees: numerators of either sign up to 1e30,
+    pairwise coprime denominators between 1e23 and 1e30."""
+    step = PRIMORIAL_61 * rng.randrange(1, 10**5)
+    vals = [0] * (order + 1)
+    count = min(order, rng.randint(1, 5))
+    for k, i in zip(rng.sample(range(1, order + 1), count), rng.sample(range(1, 65), count)):
+        vals[k] = F(rng.choice((-1, 1)) * rng.randrange(1, 10**30), i * step + 1)
+    return series(vals, mode=RATIONAL)
+
+
 @pytest.mark.parametrize("mode", [RATIONAL, COMPLEX])
 def test_exp_series_matches_the_dense_recurrence(mode):
     rng = random.Random(9)
@@ -388,6 +407,24 @@ def test_exp_series_matches_the_dense_recurrence(mode):
     raised = [o for o in outcomes if o.startswith("ValueError")]
     assert raised == ["ValueError: complex-mode coefficients must be finite"] * (
         2 if mode == COMPLEX else 0)
+    if mode == RATIONAL:
+        # the integer sum over a common denominator, where the denominators of
+        # the terms of one coefficient differ; reduced Fractions are canonical,
+        # so == is the repr test (whose integers can pass the str limit here)
+        for order in range(65):
+            a = wide_driver(rng, order)
+            denominators = [c.denominator for c in a.coeffs if c]
+            assert all(math.gcd(p, q) == 1 for i, p in enumerate(denominators)
+                       for q in denominators[:i])
+            assert exp_series(a).coeffs == dense_exp_series(a).coeffs, a
+
+
+def test_exp_series_exact_identities_at_order_64():
+    rng = random.Random(12)
+    for a in [wide_driver(rng, 64) for _ in range(3)] + [seeded_driver(rng, 64, RATIONAL, 1.0)]:
+        e = exp_series(a)
+        assert (e * exp_series(-a)).coeffs == series([1], order=64).coeffs
+        assert log_series(e).coeffs == a.coeffs
 
 
 @pytest.mark.parametrize("mode", [RATIONAL, COMPLEX])
