@@ -40,10 +40,8 @@ from .functionals import (
     TaylorCoeffs,
     evaluate_functional,
     gamma_from_a,
-    hankel_inverse_tau,
     hankel_log,
     hankel_log_inverse,
-    hankel_log_tau,
     inverse_from_a,
     moduli_diff_Gamma,
     moduli_diff_gamma,

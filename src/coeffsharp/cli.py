@@ -183,13 +183,20 @@ def _series_for(args):
     return extremal_function(n, max(order, n + 1)).truncate(order)
 
 
-def _fmt_coeff(c, fmt: str) -> str:
-    if fmt == "frac":
-        return str(c)
-    z = complex(c)
-    if z.imag == 0:
-        return repr(z.real)
-    return repr(z)
+def _fmt_coeff(k: int, c, fmt: str) -> str:
+    """The z^k coefficient as text; one that has none is a usage error."""
+    try:
+        text = str(c)  # in dec format too: --json writes the exact digits
+        if fmt == "dec":
+            z = complex(c)
+            text = repr(z.real) if z.imag == 0 else repr(z)
+    except OverflowError:
+        raise UsageError(f"the z^{k} coefficient is beyond float range; "
+                         "use --format frac") from None
+    except ValueError:  # the interpreter's limit on integer digits
+        raise UsageError(f"the z^{k} coefficient has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
+    return text
 
 
 def _cmd_series(args, started) -> int:
@@ -198,7 +205,7 @@ def _cmd_series(args, started) -> int:
     s = _series_for(args)
     if args.format == "frac" and s.mode == COMPLEX:
         raise UsageError("coefficients are not exact rationals; use --format dec")
-    print(", ".join(_fmt_coeff(c, args.format) for c in s.coeffs))
+    print(", ".join(_fmt_coeff(k, c, args.format) for k, c in enumerate(s.coeffs)))
     results = {
         "which": args.which,
         "order": s.order,

@@ -1,18 +1,19 @@
-"""Closed-form coefficient functionals over (c1, c2, c3) or tau triples.
+"""Closed-form coefficient functionals over (c1, c2, c3).
 
 All formulas are plain polynomial arithmetic, so they are exact over
 ``fractions.Fraction`` inputs and double precision over complex ones.
 The two moduli-difference functionals are intrinsically real; everything
 else returns a signed complex (or rational) value and callers take
 magnitudes.  The closed forms read c1..c3 as given; ``evaluate_functional``
-checks that the ones a functional reads are present and zero-fills the rest.
+checks that the ones a functional reads are present and zero-fills the rest,
+and maps a tau triple to its coefficients first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .caratheodory import CaratheodoryPoint, SchwarzCoeffs, coeffs_from_point, mag_squared
+from .caratheodory import CaratheodoryPoint, SchwarzCoeffs, coeffs_from_point
 
 __all__ = [
     "FUNCTIONAL_NAMES",
@@ -24,10 +25,7 @@ __all__ = [
     "gamma_from_a",
     "inverse_from_a",
     "hankel_log",
-    "hankel_tau_parts",
-    "hankel_log_tau",
     "hankel_log_inverse",
-    "hankel_inverse_tau",
     "moduli_diff_gamma",
     "moduli_diff_Gamma",
     "evaluate_functional",
@@ -115,33 +113,10 @@ def hankel_log(c: SchwarzCoeffs):
     return (-3 * c1 ** 4 - 8 * c1 * c1 * c2 - 48 * c2 * c2 + 64 * c1 * c3) / 3072
 
 
-def hankel_tau_parts(t1, tau2, quartic, quad):
-    """``(head, w)`` with ``192 * determinant = head + w tau3``, elementwise.
-
-    ``(quartic, quad)`` is ``(-3, 4)`` for the log determinant and ``(9, -20)``
-    for the inverse one; both share the real weight ``w >= 0``.
-    """
-    u = 1 - t1 * t1
-    head = quartic * t1 ** 4 + quad * t1 * t1 * tau2 * u - 4 * tau2 * tau2 * (3 + t1 * t1) * u
-    return head, 16 * t1 * u * (1 - mag_squared(tau2))
-
-
-def hankel_log_tau(pt: CaratheodoryPoint):
-    """Same determinant evaluated directly on the parameter triple."""
-    head, w = hankel_tau_parts(pt.tau1, pt.tau2, -3, 4)
-    return (head + w * pt.tau3) / 192
-
-
 def hankel_log_inverse(c: SchwarzCoeffs):
     """Gamma1*Gamma3 - Gamma2^2 as a polynomial in c1..c3."""
     c1, c2, c3 = c.c1, c.c2, c.c3
     return (33 * c1 ** 4 - 56 * c1 * c1 * c2 - 48 * c2 * c2 + 64 * c1 * c3) / 3072
-
-
-def hankel_inverse_tau(pt: CaratheodoryPoint):
-    """Inverse-coefficient determinant on the parameter triple."""
-    head, w = hankel_tau_parts(pt.tau1, pt.tau2, 9, -20)
-    return (head + w * pt.tau3) / 192
 
 
 def moduli_diff_gamma(c: SchwarzCoeffs):
@@ -156,17 +131,17 @@ def moduli_diff_Gamma(c: SchwarzCoeffs):
     return abs(5 * c1 * c1 / 32 - c2 / 8) - abs(c1) / 4
 
 
-# name -> (how many of c1..c3 it reads, closed form in c1..c3, tau form or None)
+# name -> (how many of c1..c3 it reads, closed form in c1..c3)
 _FUNCTIONALS = {
-    "gamma1": (1, lambda c: gamma_from_a(taylor_from_c(c)).gamma1, None),
-    "gamma2": (2, lambda c: gamma_from_a(taylor_from_c(c)).gamma2, None),
-    "gamma3": (3, lambda c: gamma_from_a(taylor_from_c(c)).gamma3, None),
-    "Gamma1": (1, lambda c: inverse_from_a(taylor_from_c(c)).Gamma1, None),
-    "Gamma2": (2, lambda c: inverse_from_a(taylor_from_c(c)).Gamma2, None),
-    "H21_log": (3, hankel_log, hankel_log_tau),
-    "H21_log_inverse": (3, hankel_log_inverse, hankel_inverse_tau),
-    "diff_gamma": (2, moduli_diff_gamma, None),
-    "diff_Gamma": (2, moduli_diff_Gamma, None),
+    "gamma1": (1, lambda c: gamma_from_a(taylor_from_c(c)).gamma1),
+    "gamma2": (2, lambda c: gamma_from_a(taylor_from_c(c)).gamma2),
+    "gamma3": (3, lambda c: gamma_from_a(taylor_from_c(c)).gamma3),
+    "Gamma1": (1, lambda c: inverse_from_a(taylor_from_c(c)).Gamma1),
+    "Gamma2": (2, lambda c: inverse_from_a(taylor_from_c(c)).Gamma2),
+    "H21_log": (3, hankel_log),
+    "H21_log_inverse": (3, hankel_log_inverse),
+    "diff_gamma": (2, moduli_diff_gamma),
+    "diff_Gamma": (2, moduli_diff_Gamma),
 }
 
 FUNCTIONAL_NAMES = tuple(_FUNCTIONALS)
@@ -175,18 +150,16 @@ FUNCTIONAL_NAMES = tuple(_FUNCTIONALS)
 def evaluate_functional(name: str, source) -> FunctionalValue:
     """Evaluate a named functional on a parameter triple or on coefficients.
 
-    Triples feed the Hankel determinants through their tau forms and
-    everything else through the coefficient map; coefficients go straight
-    into the closed forms.  Coefficients the functional reads must be
-    present; the trailing ones it does not read are zero-filled, since they
-    cancel out of its value.
+    A triple goes through the coefficient map, which it computes once and
+    keeps; coefficients go straight into the closed forms.  Coefficients the
+    functional reads must be present; the trailing ones it does not read are
+    zero-filled, since they cancel out of its value.
     """
     if name not in _FUNCTIONALS:
         raise ValueError(f"unknown functional {name!r}")
-    count, form, tau_form = _FUNCTIONALS[name]
+    count, form = _FUNCTIONALS[name]
     if isinstance(source, CaratheodoryPoint):
-        value = tau_form(source) if tau_form else form(coeffs_from_point(source))
-        return FunctionalValue(name, value, source)
+        return FunctionalValue(name, form(coeffs_from_point(source)), source)
     if not isinstance(source, SchwarzCoeffs):
         raise ValueError("source must be a CaratheodoryPoint or SchwarzCoeffs")
     c, vals = source, (source.c1, source.c2, source.c3)

@@ -24,10 +24,8 @@ from coeffsharp.cli import main
 from coeffsharp.functionals import (
     evaluate_functional,
     gamma_from_a,
-    hankel_inverse_tau,
     hankel_log,
     hankel_log_inverse,
-    hankel_log_tau,
     inverse_from_a,
     taylor_from_c,
 )
@@ -44,7 +42,7 @@ from coeffsharp.lemmas import (
 from coeffsharp.series_engine import exp_series, log_series, series, series_div, starlike_from_schwarz
 from coeffsharp.verifier import THEOREM_IDS, SearchConfig, verify_all
 
-from case_profiles import TAU_SPLIT, Phi, Psi
+from case_profiles import HANKEL_TAU, TAU_SPLIT, Phi, Psi, hankel_tau
 
 
 def _announce(n, text):
@@ -125,8 +123,9 @@ def test_criterion_3_global_search_attainment():
 
 def test_criterion_4_case_value_reproduction():
     t0 = time.time()
-    assert abs(hankel_log_tau(CaratheodoryPoint(F(1), F(0), F(0)))) == F(1, 64)
-    assert abs(hankel_inverse_tau(CaratheodoryPoint(F(1), F(0), F(0)))) == F(3, 64)
+    case = CaratheodoryPoint(F(1), F(0), F(0))
+    assert abs(evaluate_functional("H21_log", case).value) == F(1, 64)
+    assert abs(evaluate_functional("H21_log_inverse", case).value) == F(3, 64)
     assert Psi(math.sqrt(2 / 11)) == pytest.approx(144 / 11, abs=1e-6)
     assert TAU_SPLIT == pytest.approx(0.575109, abs=1e-6)
     assert Phi(TAU_SPLIT) / 192 == pytest.approx(0.0643695, abs=1e-6)
@@ -155,7 +154,7 @@ def test_criterion_5_oracle_equivalences():
     assert any(k.startswith("i.") for k in seen)
     assert any(k.startswith("ii.") for k in seen)
 
-    # determinant tau forms vs coefficient polynomials, and gamma products
+    # determinants vs the paper's tau forms, and gamma products
     for _ in range(1000):
         pt = CaratheodoryPoint(
             rng.uniform(0, 1),
@@ -163,8 +162,9 @@ def test_criterion_5_oracle_equivalences():
             complex(rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))),
         )
         c = coeffs_from_point(pt)
-        assert cmath.isclose(hankel_log_tau(pt), hankel_log(c), abs_tol=1e-12)
-        assert cmath.isclose(hankel_inverse_tau(pt), hankel_log_inverse(c), abs_tol=1e-12)
+        for name in HANKEL_TAU:
+            assert cmath.isclose(evaluate_functional(name, c).value,
+                                 hankel_tau(name, pt.tau1, pt.tau2, pt.tau3), abs_tol=1e-12)
         g = gamma_from_a(taylor_from_c(c))
         assert cmath.isclose(hankel_log(c), g.gamma1 * g.gamma3 - g.gamma2 ** 2,
                              abs_tol=1e-12)

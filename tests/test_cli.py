@@ -269,6 +269,20 @@ def test_series_takes_a_huge_exact_omega(capsys):
     assert code == 0 and out.strip() == f"0, 1, {big}, {3 * big * big / 4}"
 
 
+@pytest.mark.parametrize("fmt, omega1, message", [
+    ("dec", HUGE, "the z^2 coefficient is beyond float range"),
+    ("frac", "1" + "0" * 3000,
+     f"the z^3 coefficient has more than {sys.get_int_max_str_digits()} digits"),
+], ids=["dec-past-float-range", "frac-past-digit-limit"])
+def test_series_coefficients_without_text_exit_two(tmp_path, capsys, fmt, omega1, message):
+    path = tmp_path / "s.json"
+    code, out, err = run(capsys, "series", "custom-omega", "--omega", "0", omega1,
+                         "--order", "3", "--format", fmt, "--json", str(path))
+    assert code == 2 and out == "" and not path.exists()
+    assert err == f"error: {message}" + ("; use --format frac\n" if fmt == "dec" else "\n")
+    assert "set_int_max_str_digits" not in err
+
+
 def test_manifest_refuses_non_finite_json(tmp_path):
     from coeffsharp.cli import _write_manifest
 

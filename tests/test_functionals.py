@@ -20,16 +20,16 @@ from coeffsharp.functionals import (
     FunctionalValue,
     evaluate_functional,
     gamma_from_a,
-    hankel_inverse_tau,
     hankel_log,
     hankel_log_inverse,
-    hankel_log_tau,
     inverse_from_a,
     moduli_diff_Gamma,
     moduli_diff_gamma,
     taylor_from_c,
 )
 from coeffsharp.series_engine import compose, series, series_div, starlike_from_schwarz
+
+from case_profiles import HANKEL_TAU, hankel_tau
 
 F1_COEFFS = SchwarzCoeffs(F(2), F(2), F(2))   # half-plane point
 F2_COEFFS = SchwarzCoeffs(F(0), F(2), F(0))   # z^2 point
@@ -47,6 +47,13 @@ def random_point(rng):
     return CaratheodoryPoint(rng.uniform(0, 1),
                              complex(r[0] * np.exp(1j * th[0])),
                              complex(r[1] * np.exp(1j * th[1])))
+
+
+def exact_points(rng):
+    """Twenty rational triples on the 1/16 grid."""
+    for _ in range(20):
+        k1, k2, k3 = (int(k) for k in rng.integers(-16, 17, 3))
+        yield F(abs(k1), 16), F(k2, 16), F(k3, 16)
 
 
 # --- Taylor coefficients ------------------------------------------------------------
@@ -132,11 +139,14 @@ def test_hankel_log_frozen_values():
     assert hankel_log(SchwarzCoeffs(F(0), F(0), F(0))) == 0
 
 
+def on_point(name, *taus):
+    return evaluate_functional(name, CaratheodoryPoint(*taus)).value
+
+
 def test_hankel_log_tau_case_values():
-    assert hankel_log_tau(CaratheodoryPoint(F(1), F(0), F(0))) == F(-1, 64)
-    assert hankel_log_tau(CaratheodoryPoint(F(0), F(1), F(0))) == F(-1, 16)
-    got = hankel_log_tau(CaratheodoryPoint(F(1, 2), F(1, 2), F(1)))
-    assert got == F(9, 4) / 192
+    assert on_point("H21_log", F(1), F(0), F(0)) == F(-1, 64)
+    assert on_point("H21_log", F(0), F(1), F(0)) == F(-1, 16)
+    assert on_point("H21_log", F(1, 2), F(1, 2), F(1)) == F(9, 4) / 192
 
 
 def test_hankel_inverse_frozen_values():
@@ -147,11 +157,10 @@ def test_hankel_inverse_frozen_values():
 
 
 def test_hankel_inverse_tau_case_values():
-    assert hankel_inverse_tau(CaratheodoryPoint(F(1), F(0), F(0))) == F(9, 192)
-    t = math.sqrt(2 / 11)
-    got = hankel_inverse_tau(CaratheodoryPoint(t, 1.0, 1.0))
+    assert on_point("H21_log_inverse", F(1), F(0), F(0)) == F(9, 192)
+    got = on_point("H21_log_inverse", math.sqrt(2 / 11), 1.0, 1.0)
     assert abs(got) == pytest.approx(3 / 44, abs=1e-15)
-    assert hankel_inverse_tau(CaratheodoryPoint(F(0), F(0), F(1))) == 0
+    assert on_point("H21_log_inverse", F(0), F(0), F(1)) == 0
 
 
 def test_route_equivalence_gamma_products_rational():
@@ -184,12 +193,16 @@ def test_route_equivalence_gamma_products_complex():
 
 
 def test_route_equivalence_tau_forms():
+    # the library's determinants against the paper's tau forms
     rng = np.random.default_rng(13)
     for _ in range(1000):
         pt = random_point(rng)
-        c = coeffs_from_point(pt)
-        assert cmath.isclose(hankel_log_tau(pt), hankel_log(c), abs_tol=1e-12)
-        assert cmath.isclose(hankel_inverse_tau(pt), hankel_log_inverse(c), abs_tol=1e-12)
+        for name in HANKEL_TAU:
+            want = hankel_tau(name, pt.tau1, pt.tau2, pt.tau3)
+            assert cmath.isclose(evaluate_functional(name, pt).value, want, abs_tol=1e-12)
+    for taus in exact_points(np.random.default_rng(16)):
+        for name in HANKEL_TAU:
+            assert on_point(name, *taus) == hankel_tau(name, *taus), (name, taus)
 
 
 def test_rotation_covariance_of_hankels():
@@ -353,20 +366,15 @@ def fresh_coeffs(pt):
 @pytest.mark.parametrize("kind", ["exact", "float"])
 def test_functionals_on_a_point_match_the_coefficient_route(kind):
     rng = np.random.default_rng(16)
-    tau_forms = {"H21_log": hankel_log_tau, "H21_log_inverse": hankel_inverse_tau}
-    for _ in range(20):
-        if kind == "exact":
-            k1, k2, k3 = (int(k) for k in rng.integers(-16, 17, 3))
-            pt = CaratheodoryPoint(F(abs(k1), 16), F(k2, 16), F(k3, 16))
-        else:
-            pt = random_point(rng)
+    if kind == "exact":
+        points = [CaratheodoryPoint(*taus) for taus in exact_points(rng)]
+    else:
+        points = [random_point(rng) for _ in range(20)]
+    for pt in points:
         c = fresh_coeffs(pt)
         for name in FUNCTIONAL_NAMES:  # the first call maps, the others reuse
             got = evaluate_functional(name, pt).value
-            want = tau_forms[name](pt) if name in tau_forms else evaluate_functional(name, c).value
-            assert repr(got) == repr(want), (name, pt)
-            if kind == "exact":  # every route is exact, the tau forms included
-                assert repr(got) == repr(evaluate_functional(name, c).value), (name, pt)
+            assert repr(got) == repr(evaluate_functional(name, c).value), (name, pt)
 
 
 def test_evaluate_functional_rejects_unknown_or_partial():
