@@ -70,8 +70,3 @@ def _window(lo: float, hi: float, steps: np.ndarray, t1: float) -> np.ndarray:
         return grid
     return np.concatenate((grid[:i], (t1,), grid[i:]))
 
-
-def unit_direction(z: complex) -> complex:
-    """``z/|z|``, or 1 when z = 0: the tau on the closed unit disk where
-    ``|z + w tau|`` with real ``w >= 0`` peaks, at ``|z| + w``."""
-    return z / abs(z) if z != 0 else 1 + 0j

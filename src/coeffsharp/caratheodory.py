@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Number, Rational
 
-import numpy as np
-
 from .series_engine import TruncatedSeries, series, series_div
 
 TAU_BOUNDARY_TOL = 1e-12  # absorbs float rounding on |tau| = 1 only
@@ -82,9 +80,7 @@ class SchwarzCoeffs:
     """Initial coefficients c1..c3 of a positive-real-part function.
 
     c2 and c3 may be absent (None); every present coefficient obeys the class
-    bound |c| <= 2 up to float rounding.  A coefficient may also be a numpy
-    array, for evaluating functionals elementwise on a grid; each of its
-    elements is checked the same way.
+    bound |c| <= 2 up to float rounding.
     """
 
     c1: complex
@@ -97,12 +93,7 @@ class SchwarzCoeffs:
             if val is None:
                 continue
             if not isinstance(val, Number):
-                if not isinstance(val, np.ndarray):
-                    raise ValueError(f"{name} must be a number")
-                # NaN fails the comparison too
-                if not (mag_squared(val) <= _COEFF_BOUND_SQ[0]).all():
-                    raise ValueError(f"every {name} must be finite, with |{name}| <= 2")
-                continue
+                raise ValueError(f"{name} must be a number")
             if not isinstance(val, Rational) and not cmath.isfinite(val):
                 raise ValueError(f"{name} must be finite, got {val!r}")
             if not _mag_within(val, _COEFF_BOUND_SQ):

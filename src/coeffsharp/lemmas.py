@@ -25,7 +25,7 @@ from numbers import Rational
 
 import numpy as np
 
-from ._search import TAU1_GRID_MAX, tau1_argmax, unit_direction
+from ._search import TAU1_GRID_MAX, tau1_argmax
 from .caratheodory import c12, c3_parts
 
 _PSI_GRID, _PSI_ROUNDS, _PSI_SHRINK = 121, 10, 0.1  # psi_empirical's tau1 scans
@@ -284,9 +284,11 @@ def form_max(A, B, C, W) -> np.ndarray:
 
 
 def form_tau3(A: float, B: float, C: float, W: float, tau2: complex) -> complex:
-    """The tau3 of the closed disk where the form peaks at a given tau2."""
+    """The tau3 of the closed disk where the form peaks at a given tau2: the
+    direction of ``head`` (of ``-head`` when W < 0), or 1 when head = 0."""
     head = A + B * tau2 + C * tau2 * tau2
-    return unit_direction(head if W >= 0 else -head)
+    z = head if W >= 0 else -head
+    return z / abs(z) if z != 0 else 1 + 0j
 
 
 def form_argmax(A: float, B: float, C: float, W: float) -> tuple:

@@ -1,7 +1,7 @@
 """Deterministic global search certifying each sharp bound.
 
 ``THEOREMS`` holds one :class:`Theorem` per bound (functional, sharp
-constant and direction, exact witness); ``verify``, ``objective_slice`` and
+constant and direction, exact witness); ``verify`` and
 ``sharpness_witness`` read nothing else.
 
 Every target is searched as a 1-D profile in tau1, as the paper proves the
@@ -10,8 +10,9 @@ bounds.  With ``c1 = 2 tau1`` real, each functional the bounds are about is
     A + B tau2 + C tau2^2 + W (1 - |tau2|^2) tau3
 
 with real polynomials A, B, C, W in tau1, derived once per functional from
-``evaluate_functional`` itself: exact values at tau2 in {0, 1, -1} and tau3
-in {0, 1} on five rational tau1 nodes, interpolated as ``Fraction``
+``evaluate_functional`` itself: its exact values on the points
+``CaratheodoryPoint(tau1, tau2, tau3)`` with tau2 in {0, 1, -1} and tau3 in
+{0, 1}, at five rational tau1 nodes, interpolated as ``Fraction``
 polynomials of degree <= 4 and checked at a sixth node.  tau3 and tau2 are
 then eliminated in closed form:
 
@@ -23,15 +24,12 @@ then eliminated in closed form:
   W = 0.
 
 The moduli differences subtract ``|offset|``, a function of tau1 alone.
+A theorem keeps, as floats, only the polynomials its profile reads.
 ``_search.tau1_argmax`` scans the profile over tau1 in [0, 1] (one full grid,
 then shrinking windows around the incumbent), so ``evaluations`` counts
 tau1 points, and the reported maximizer carries the exact maximizing tau2
 and tau3.  ``SearchConfig.grid_r`` and ``grid_theta`` are accepted and
-validated but no longer used.  ``objective_slice`` is the brute-force
-oracle: on explicit tau2 and tau3 grids it evaluates the functional itself,
-which checks the derived polynomials and the tau3 step; with tau3
-eliminated, its dense tau2 maximum checks the tau2 step.  Scans are pure and
-deterministic.
+validated but no longer used.  Scans are pure and deterministic.
 """
 
 from __future__ import annotations
@@ -44,16 +42,9 @@ from functools import cache, cached_property, partial
 import numpy as np
 
 from ._search import TAU1_GRID_MAX, tau1_argmax
-from .caratheodory import (
-    CaratheodoryPoint,
-    SchwarzCoeffs,
-    c12,
-    c3_parts,
-    coeffs_from_point,
-    mag_squared,
-)
+from .caratheodory import CaratheodoryPoint, coeffs_from_point
 from .functionals import FunctionalValue, evaluate_functional
-from .lemmas import form_argmax, form_coefficients, form_max, form_tau3
+from .lemmas import form_argmax, form_coefficients, form_max
 
 __all__ = [
     "THEOREMS",
@@ -62,7 +53,6 @@ __all__ = [
     "Theorem",
     "SearchConfig",
     "VerificationReport",
-    "objective_slice",
     "verify",
     "verify_all",
     "sharpness_witness",
@@ -119,18 +109,12 @@ class VerificationReport:
 
 
 def _horner(coeffs, x):
-    value = 0
-    for c in coeffs:
+    """The polynomial with ``coeffs`` (highest degree first) at x, starting
+    from the leading coefficient."""
+    value, *rest = coeffs
+    for c in rest:
         value = value * x + c
     return value
-
-
-def _value(name: str, t1, tau2, tau3):
-    """``name`` through evaluate_functional's coefficient route, elementwise:
-    exact over Fractions, broadcasting over numpy grids."""
-    c1, c2 = c12(t1, tau2)
-    head, w = c3_parts(t1, tau2)
-    return evaluate_functional(name, SchwarzCoeffs(c1, c2, head + w * tau3)).value
 
 
 #: tau1 nodes of the interpolation (every coefficient has degree <= 4 in
@@ -159,17 +143,21 @@ def _tau1_polynomials(name: str) -> tuple:
 
         name(tau1, tau2, tau3) = A + B tau2 + C tau2^2 + W (1 - |tau2|^2) tau3.
 
-    Derived from the functional itself; a sixth node checks the degree bound
-    and the point (tau2, tau3) = (1/2, 1/2) the form in tau2 and tau3.
+    Derived from the functional itself, evaluated exactly on rational
+    points; a sixth node checks the degree bound and the point
+    (tau2, tau3) = (1/2, 1/2) the form in tau2 and tau3.
     """
+    def at(t1, tau2, tau3):
+        return evaluate_functional(name, CaratheodoryPoint(t1, tau2, tau3)).value
+
     basis = _lagrange_basis(_NODES)
-    *at_nodes, at_check = (form_coefficients(partial(_value, name, t)) for t in (*_NODES, _CHECK))
+    *at_nodes, at_check = (form_coefficients(partial(at, t)) for t in (*_NODES, _CHECK))
     polys = tuple(tuple(sum(y * b[k] for y, b in zip(column, basis)) for k in range(len(_NODES)))
                   for column in zip(*at_nodes))
     A, B, C, W = (_horner(p, _CHECK) for p in polys)
     h = Fraction(1, 2)
     if ((A, B, C, W) != at_check
-            or A + B * h + C * h * h + W * (1 - h * h) * h != _value(name, _CHECK, h, h)):
+            or A + B * h + C * h * h + W * (1 - h * h) * h != at(_CHECK, h, h)):
         raise ValueError(f"{name} is not A + B tau2 + C tau2^2 + W (1 - |tau2|^2) tau3 "
                          "with coefficients of degree <= 4 in tau1")
     return polys
@@ -195,58 +183,45 @@ class Theorem:
         return 1.0 if self.bound.direction == "max" else -1.0
 
     @cached_property
-    def _coefficients(self) -> np.ndarray:
-        """(A, B, C, W, offset) in tau1 as the rows of one (5, 5) float array,
-        highest degree first (no offset is a row of zeros), so that one
-        :func:`_horner` pass over its transpose evaluates all five; derived
-        on first use."""
-        polys = _tau1_polynomials(self.modulus)
-        offset = (0,) * len(_NODES)
+    def _rows(self) -> np.ndarray:
+        """The tau1 polynomials the profile reads, highest degree first, as
+        the rows of one float array: A and B, then C and W unless both are
+        zero, then the offset of a moduli difference.  One :func:`_horner`
+        pass over its transpose evaluates them all; derived on first use."""
+        A, B, *CW = _tau1_polynomials(self.modulus)
+        rows = [A, B]
+        if any(any(p) for p in CW):
+            if self.sign < 0:
+                raise ValueError(f"{self.id}: only |A + B tau2| has a closed-form infimum here")
+            rows += CW
         if self.offset is not None:
             offset, *rest = _tau1_polynomials(self.offset)
             if any(any(p) for p in rest):
                 raise ValueError(f"{self.offset} depends on tau2 or tau3")
-        if self.sign < 0 and any(any(p) for p in polys[2:]):
-            raise ValueError(f"{self.id}: only |A + B tau2| has a closed-form infimum here")
-        return np.array([[float(c) for c in p] for p in (*polys, offset)])
-
-    def _at(self, t1: float) -> tuple:
-        """(A, B, C, W, offset) at one tau1, as floats."""
-        return tuple(_horner(self._coefficients.T, t1).tolist())
-
-    @cached_property
-    def _affine(self) -> bool:  # C = W = 0: the functional is |A + B tau2|
-        return not self._coefficients[2:4].any()
+            rows.append(offset)
+        return np.array([[float(c) for c in p] for p in rows])
 
     def profile(self, t1) -> np.ndarray:
         """``sign`` times the extremum over (tau2, tau3) at each tau1: the
         function of tau1 alone that the search maximizes."""
-        A, B, C, W, offset = _horner(self._coefficients.T[:, :, None], t1)
-        if not self._affine:
-            modulus = form_max(A, B, C, W)
+        rows = _horner(self._rows.T[:, :, None], t1)
+        A, B = rows[:2]
+        if len(rows) >= 4:  # C and W are kept
+            modulus = form_max(*rows[:4])
         elif self.sign > 0:
             modulus = np.abs(A) + np.abs(B)
         else:
             modulus = np.maximum(0.0, np.abs(A) - np.abs(B))
-        return self.sign * (modulus - np.abs(offset))
-
-    def tau3_sup(self, t1: float, tau2) -> np.ndarray:
-        """``sign * (|modulus| - |offset|)`` at one tau1 on a tau2 grid, with
-        the modulus replaced by its sup over the closed tau3 disk,
-        ``|A + B tau2 + C tau2^2| + |W| (1 - |tau2|^2)``."""
-        A, B, C, W, offset = self._at(t1)
-        head = A + B * tau2 + C * tau2 * tau2
-        return self.sign * (np.abs(head) + abs(W) * (1 - mag_squared(tau2)) - abs(offset))
-
-    def maximizing_tau3(self, t1: float, tau2: complex) -> complex:
-        """The tau3 where ``|head + W (1 - |tau2|^2) tau3|`` peaks over the closed disk."""
-        return form_tau3(*self._at(t1)[:4], tau2)
+        if self.offset is not None:
+            modulus = modulus - np.abs(rows[-1])
+        return self.sign * modulus
 
     def maximizer(self, t1: float) -> CaratheodoryPoint:
         """The exact (tau2, tau3) where ``profile`` is attained at tau1."""
-        A, B, C, W, _ = self._at(t1)
-        if not self._affine:
-            return CaratheodoryPoint(t1, *form_argmax(A, B, C, W))
+        rows = _horner(self._rows.T, t1).tolist()
+        A, B = rows[:2]
+        if len(rows) >= 4:
+            return CaratheodoryPoint(t1, *form_argmax(*rows[:4]))
         if B == 0:
             tau2 = 0.0
         elif self.sign > 0:  # B tau2 lines up with A
@@ -289,29 +264,6 @@ def _theorem(theorem_id: str) -> Theorem:
     if theorem_id not in THEOREMS:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
     return THEOREMS[theorem_id]
-
-
-def objective_slice(theorem_id: str, t1: float, tau2: np.ndarray,
-                    tau3: np.ndarray | None = None) -> np.ndarray:
-    """``sign * (|modulus| - |offset|)`` on a tau1 slice.
-
-    With flat complex ``tau2`` and ``tau3`` grids the functional is evaluated
-    by brute force through the coefficient route, giving the (len(tau2),
-    len(tau3)) matrix: the oracle of the derived polynomials and of the tau3
-    reduction.  With ``tau3`` omitted it is :meth:`Theorem.tau3_sup`, one value
-    per tau2: the function whose tau2 sup the search's profile takes in
-    closed form.  Infimum targets come back negated, as the search maximizes
-    them.
-    """
-    th = _theorem(theorem_id)
-    t1, tau2 = float(t1), np.asarray(tau2, dtype=complex)
-    if tau3 is None:
-        return th.tau3_sup(t1, tau2)
-    modulus = np.abs(_value(th.modulus, t1, tau2[:, None],
-                            np.asarray(tau3, dtype=complex)[None, :]))
-    if th.offset is not None:
-        modulus = modulus - abs(_value(th.offset, t1, 0.0, 0.0))
-    return th.sign * modulus
 
 
 def verify(theorem_id: str, cfg: SearchConfig = SearchConfig()) -> VerificationReport:

@@ -1,11 +1,14 @@
 """Parameter triples, coefficient map, extremal representatives, Schwarz bridge."""
 
+import ast
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from coeffsharp import caratheodory
 from coeffsharp.caratheodory import (
     COEFF_BOUND_TOL,
     TAU_BOUNDARY_TOL,
@@ -96,12 +99,22 @@ def test_coeffs_reject_non_finite(bad):
 
 @pytest.mark.parametrize("bad", NON_FINITE + (2.1, complex(1.5, 1.5)))
 def test_array_coeffs_check_every_element(bad):
+    # coefficients are numbers: an array is refused whole, good elements or bad
     good = np.array([0.5, 1j, -2.0])
-    SchwarzCoeffs(good, good, good)
-    with pytest.raises(ValueError, match="finite"):
-        SchwarzCoeffs(0.5, np.append(good, bad))
-    with pytest.raises(ValueError, match="number"):
-        SchwarzCoeffs([0.5])
+    for coeff in (good, np.append(good, bad), np.array(0.5), [0.5]):
+        with pytest.raises(ValueError, match="must be a number"):
+            SchwarzCoeffs(coeff)
+        with pytest.raises(ValueError, match="must be a number"):
+            SchwarzCoeffs(0.5, 0.5, coeff)
+
+
+@pytest.mark.parametrize("module", ("caratheodory", "functionals", "series_engine", "exprs"))
+def test_exact_modules_import_no_numpy(module):
+    # the map, the closed forms, the series engine and the parser run on numbers alone
+    tree = ast.parse((Path(caratheodory.__file__).parent / f"{module}.py").read_text())
+    imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    imported += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module]
+    assert imported and "numpy" not in {name.split(".")[0] for name in imported}, module
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)

@@ -436,6 +436,11 @@ def test_disk_max_scales_y_and_takes_the_circle_limit():
             assert disk_max(A, B, C, W) == pytest.approx(want, rel=1e-14)
             z = disk_argmax(A, B, C, W)
             assert abs(disk_objective(A, B, C, z, W) - disk_max(A, B, C, W)) <= 1e-12
+            # the form with weight -W peaks as high, with tau3 turned around
+            for w in (W, -W):
+                tau2, tau3 = form_argmax(A, B, C, w)
+                at = A + B * tau2 + C * tau2 * tau2 + w * (1 - abs(tau2) ** 2) * tau3
+                assert abs(abs(at) - disk_max(A, B, C, W)) <= 1e-12, (A, B, C, w)
         # W = 0: the maximum modulus on the circle, against a dense circle scan
         top = disk_max(A, B, C, 0.0)
         brute = float(np.abs(A + B * circle + C * circle * circle).max())

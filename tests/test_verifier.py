@@ -4,20 +4,20 @@ import math
 import re
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from coeffsharp import verifier
-from coeffsharp.caratheodory import CaratheodoryPoint, coeffs_from_point
-from coeffsharp.functionals import evaluate_functional
-from coeffsharp.lemmas import TAU1_GRID_MAX, form_max
+from coeffsharp.caratheodory import CaratheodoryPoint, c3_parts, c12, coeffs_from_point
+from coeffsharp.functionals import _FUNCTIONALS, evaluate_functional
+from coeffsharp.lemmas import TAU1_GRID_MAX, form_max, form_tau3
 from coeffsharp.verifier import (
     THEOREM_IDS,
     THEOREMS,
     SearchConfig,
     _tau1_polynomials,
-    objective_slice,
     sharpness_witness,
     verify,
     verify_all,
@@ -42,6 +42,33 @@ DENSE_TAU3 = (np.linspace(0.0, 1.0, 41)[:, None]
               * np.exp(1j * np.linspace(0.0, 2 * np.pi, TAU3_ANGLES, endpoint=False))[None, :]
               ).ravel()
 TAU3_GRID_SLACK = 1.0 - math.cos(math.pi / TAU3_ANGLES)
+
+
+def polyval_rows(th, t1):
+    """A, B, C, W and the offset (0 without one) at t1, each by ``np.polyval``
+    of its derived polynomial: the oracle of the stacked Horner pass."""
+    polys = _tau1_polynomials(th.modulus)
+    offset = (0,) if th.offset is None else _tau1_polynomials(th.offset)[0]
+    return [np.polyval([float(c) for c in p], t1) for p in (*polys, offset)]
+
+
+def objective_slice(theorem_id, t1, tau2, tau3=None):
+    """``sign * (|modulus| - |offset|)`` at one tau1.  With a ``tau3`` grid, the
+    modulus's closed form on the mapped (tau2, tau3) grid: the oracle of the
+    derived polynomials and of the tau3 step.  Without, its sup over the tau3
+    disk, ``|A + B tau2 + C tau2^2| + |W| (1 - |tau2|^2)``: the oracle of the tau2 step."""
+    th = THEOREMS[theorem_id]
+    A, B, C, W, offset = polyval_rows(th, t1)
+    if tau3 is None:
+        modulus = np.abs(A + B * tau2 + C * tau2 * tau2) + abs(W) * (1 - np.abs(tau2) ** 2)
+    else:
+        c1, c2 = c12(t1, tau2[:, None])
+        head, w = c3_parts(t1, tau2[:, None])
+        c = SimpleNamespace(c1=c1, c2=c2, c3=head + w * tau3[None, :])
+        modulus = np.abs(_FUNCTIONALS[th.modulus][1](c))
+        if th.offset is not None:
+            offset = evaluate_functional(th.offset, CaratheodoryPoint(t1, 0, 0)).value
+    return th.sign * (modulus - abs(offset))
 
 
 def random_t1_tau2(seed, n=200):
@@ -137,7 +164,7 @@ def test_two_param_objective_does_not_depend_on_tau3(theorem_id):
 def test_maximizing_tau3_attains_the_sup(theorem_id, functional):
     th = THEOREMS[theorem_id]
     for t1, tau2 in random_t1_tau2(6):
-        tau3 = th.maximizing_tau3(t1, tau2)
+        tau3 = form_tau3(*polyval_rows(th, t1)[:4], tau2)
         assert abs(abs(tau3) - 1.0) <= 1e-12
         reduced = float(objective_slice(theorem_id, t1, np.array([tau2]))[0])
         got = abs(evaluate_functional(functional, CaratheodoryPoint(t1, tau2, tau3)).value)
@@ -211,38 +238,38 @@ def test_profile_matches_dense_tau2_scan(theorem_id):
         assert abs(float(at.ravel()[0]) - value) <= 1e-12, (t1, value)
 
 
-def polyval_rows(th, t1):
-    """A, B, C, W and the offset at t1, each by ``np.polyval`` of its derived
-    polynomial: the oracle of the stacked Horner pass."""
-    polys = _tau1_polynomials(th.modulus)
-    offset = (0,) if th.offset is None else _tau1_polynomials(th.offset)[0]
-    return [np.polyval([float(c) for c in p], t1) for p in (*polys, offset)]
+@pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+def test_theorems_keep_only_their_nonzero_rows(theorem_id):
+    th, three = THEOREMS[theorem_id], theorem_id in THREE_PARAM
+    A, B, C, W = _tau1_polynomials(th.modulus)
+    offset = () if th.offset is None else _tau1_polynomials(th.offset)
+    # C and W of the 2-parameter targets and an offset's rows past A are exact zeros
+    zeros = [*offset[1:], *(() if three else (C, W))]
+    assert all(type(c) is F and c == 0 for p in zeros for c in p)
+    assert not three or any(C) or any(W)
+    kept = [A, B, *((C, W) if three else ()), *offset[:1]]
+    assert th._rows.tolist() == [[float(c) for c in p] for p in kept]
 
 
 @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
-def test_stacked_horner_is_polyval_bit_for_bit(theorem_id, monkeypatch):
+def test_stacked_horner_is_polyval_bit_for_bit(theorem_id):
     th = THEOREMS[theorem_id]
     t1 = np.linspace(0.0, 1.0, 1001)
-    want = polyval_rows(th, t1)
-    seen = []
-    horner = verifier._horner
-    monkeypatch.setattr(verifier, "_horner", lambda *args: seen.append(horner(*args)) or seen[-1])
-    got = th.profile(t1)
-    # the one pass that profile makes yields all five rows
-    assert len(seen) == 1
-    assert [r.tobytes() for r in seen[0]] == [r.tobytes() for r in want]
-    A, B, C, W, offset = want
-    if not th._affine:
+    # the profile on all five polyval rows: dropping the zero rows changes no bit
+    A, B, C, W, offset = polyval_rows(th, t1)
+    if theorem_id in THREE_PARAM:
         modulus = form_max(A, B, C, W)
     elif th.sign > 0:
         modulus = np.abs(A) + np.abs(B)
     else:
         modulus = np.maximum(0.0, np.abs(A) - np.abs(B))
-    assert got.tobytes() == (th.sign * (modulus - np.abs(offset))).tobytes()
+    assert th.profile(t1).tobytes() == (th.sign * (modulus - np.abs(offset))).tobytes()
+    # the scalar rows that maximizer reads
     for t in (0.0, 1.0, 0.5, *t1[1::97].tolist(), math.sqrt(2 / 11)):
-        at = th._at(t)
-        assert [v.hex() for v in at] == [float(r).hex() for r in polyval_rows(th, t)], t
-        assert [v.hex() for v in at] == [float(r[0]).hex() for r in polyval_rows(th, np.array([t]))]
+        at = verifier._horner(th._rows.T, t).tolist()
+        assert [v.hex() for v in at] == [float(np.polyval(r, t)).hex() for r in th._rows], t
+        assert [v.hex() for v in at] == [float(np.polyval(r, np.array([t]))[0]).hex()
+                                         for r in th._rows]
 
 
 def test_reports_carry_counts_and_points():
