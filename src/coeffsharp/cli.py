@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -38,7 +38,7 @@ from .lemmas import (
 from .series_engine import COMPLEX, cosh_series, extremal_function, monomial, series, starlike_from_schwarz
 from .verifier import THEOREM_IDS, SearchConfig, VerificationReport, verify
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 SERIES_ORDER_MAX = 512  # f1 at this order takes about 2 s; its coefficients grow with the order
 
@@ -73,10 +73,7 @@ def main(argv=None) -> int:
     started = _now()
     try:
         return args.handler(args, started)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:  # contract violations from the library
+    except (UsageError, ValueError) as exc:  # ValueError: a contract violation in the library
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -256,7 +253,7 @@ def _load_config(path: str | None) -> SearchConfig:
     if not path:
         return SearchConfig()
     overrides = {}
-    field_types = {f.name: f.type for f in fields(SearchConfig)}
+    keys = {f.name for f in fields(SearchConfig)}  # every one an int
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -268,21 +265,16 @@ def _load_config(path: str | None) -> SearchConfig:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, _, val = (part.strip() for part in line.partition("="))
-        if key not in field_types:
+        if key not in keys:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        caster = int if field_types[key] == "int" else float
         try:
-            overrides[key] = caster(val)
+            overrides[key] = int(val)
         except ValueError:
             raise UsageError(f"{path}:{lineno}: bad value for {key}") from None
     try:
         return SearchConfig(**overrides)
     except ValueError as exc:
         raise UsageError(f"invalid config: {exc}") from None
-
-
-def _config_dict(cfg: SearchConfig) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in fields(SearchConfig)}
 
 
 def _point_json(pt: CaratheodoryPoint) -> dict:
@@ -332,7 +324,7 @@ def _cmd_verify(args, started) -> int:
     print(f"{npass}/{len(reports)} passed")
     for rep in failed:
         print(f"FAILED: {json.dumps(_report_json(rep), allow_nan=False)}")
-    _write_manifest(args.json, "verify", _config_dict(cfg), started,
+    _write_manifest(args.json, "verify", asdict(cfg), started,
                     [_report_json(rep) for rep in reports])
     return 0 if not failed else 1
 

@@ -43,8 +43,6 @@ __all__ = [
     "y_branch",
     "y_argmax",
     "y_brute_force",
-    "disk_max",
-    "disk_argmax",
     "form_coefficients",
     "form_max",
     "form_tau3",
@@ -249,25 +247,6 @@ def _circle_argmax(A: float, B: float, C: float) -> complex:
     return complex(x, math.sqrt(1 - x * x))
 
 
-def disk_max(A: float, B: float, C: float, W: float) -> float:
-    """Maximum of |A + B z + C z^2| + W (1 - |z|^2) over the closed disk, W >= 0.
-
-    It is ``W Y(A/W, B/W, C/W)``; at W = 0 it is the maximum modulus on the
-    unit circle.
-    """
-    if W > 0:
-        return W * _y_pieces(A / W, B / W, C / W)[0]
-    z = _circle_argmax(A, B, C)
-    return abs(A + B * z + C * z * z)
-
-
-def disk_argmax(A: float, B: float, C: float, W: float) -> complex:
-    """A point of the closed disk where :func:`disk_max` is attained."""
-    if W > 0:
-        return _y_argmax(A / W, B / W, C / W)
-    return _circle_argmax(A, B, C)
-
-
 def form_coefficients(f) -> tuple:
     """(A, B, C, W) with ``f(tau2, tau3) = A + B tau2 + C tau2^2 + W (1 - |tau2|^2)
     tau3``, read off tau2 in {0, 1, -1} and tau3 in {0, 1}; exact if f is."""
@@ -278,9 +257,16 @@ def form_coefficients(f) -> tuple:
 def form_max(A, B, C, W) -> np.ndarray:
     """Maximum of ``|A + B tau2 + C tau2^2 + W (1 - |tau2|^2) tau3|`` over the
     closed bidisk, elementwise over real arrays: over tau3 it is ``|A + B tau2 +
-    C tau2^2| + |W| (1 - |tau2|^2)``, and over tau2 ``disk_max(A, B, C, |W|)``."""
-    return np.array([disk_max(*v) for v in zip(
-        A.tolist(), B.tolist(), C.tolist(), np.abs(W).tolist())])
+    C tau2^2| + |W| (1 - |tau2|^2)``, and over tau2 ``|W| Y(A/|W|, B/|W|,
+    C/|W|)``, or the maximum modulus on the unit circle where W = 0."""
+    out = []
+    for a, b, c, w in zip(A.tolist(), B.tolist(), C.tolist(), np.abs(W).tolist()):
+        if w > 0:
+            out.append(w * _y_pieces(a / w, b / w, c / w)[0])
+        else:
+            z = _circle_argmax(a, b, c)
+            out.append(abs(a + b * z + c * z * z))
+    return np.array(out)
 
 
 def form_tau3(A: float, B: float, C: float, W: float, tau2: complex) -> complex:
@@ -293,7 +279,8 @@ def form_tau3(A: float, B: float, C: float, W: float, tau2: complex) -> complex:
 
 def form_argmax(A: float, B: float, C: float, W: float) -> tuple:
     """``(tau2, tau3)`` where :func:`form_max` is attained, for scalar coefficients."""
-    tau2 = disk_argmax(A, B, C, abs(W))
+    w = abs(W)
+    tau2 = _y_argmax(A / w, B / w, C / w) if w > 0 else _circle_argmax(A, B, C)
     return tau2, form_tau3(A, B, C, W, tau2)
 
 

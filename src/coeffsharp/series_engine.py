@@ -111,12 +111,6 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, k: int):
-        """Coefficient of ``z**k``; ``k`` must not exceed the order."""
-        if not 0 <= k <= self.order:
-            raise IndexError(f"degree {k} outside truncation order {self.order}")
-        return self.coeffs[k]
-
     def truncate(self, order: int) -> "TruncatedSeries":
         """Drop all coefficients above ``order``."""
         if not 0 <= order <= self.order:

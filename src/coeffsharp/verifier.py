@@ -26,10 +26,13 @@ then eliminated in closed form:
 The moduli differences subtract ``|offset|``, a function of tau1 alone.
 A theorem keeps, as floats, only the polynomials its profile reads.
 ``_search.tau1_argmax`` scans the profile over tau1 in [0, 1] (one full grid,
-then shrinking windows around the incumbent), so ``evaluations`` counts
-tau1 points, and the reported maximizer carries the exact maximizing tau2
-and tau3.  ``SearchConfig.grid_r`` and ``grid_theta`` are accepted and
-validated but no longer used.  Scans are pure and deterministic.
+then windows around the incumbent that shrink by ``SHRINK`` per round), so
+``evaluations`` counts tau1 points, and the reported maximizer carries the
+exact maximizing tau2 and tau3.  A config sets only counts: the grid size and
+the number of rounds (``SearchConfig.grid_r`` and ``grid_theta`` are accepted
+and validated but no longer used).  The pass rule is fixed: the search attains
+the constant within ``ATTAIN_TOL`` and never exceeds it by more than
+``EXCEED_TOL``.  Scans are pure and deterministic.
 """
 
 from __future__ import annotations
@@ -68,6 +71,16 @@ class Bound:
     direction: str  # "max": supremum target; "min": infimum target
 
 
+#: the window shrink per refinement round of every search
+SHRINK = 0.35
+#: a report passes when the search attains the constant within ATTAIN_TOL
+#: and never exceeds it by more than EXCEED_TOL
+ATTAIN_TOL, EXCEED_TOL = 1e-4, 1e-9
+#: most refinement rounds of a config: round 64's window is narrower than
+#: 1e-29, and every round rescans its window, collapsed or not
+REFINEMENT_ROUNDS_MAX = 64
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     grid_tau1: int = 101
@@ -76,9 +89,6 @@ class SearchConfig:
     grid_r: int = 21
     grid_theta: int = 72
     refinement_rounds: int = 6
-    shrink_factor: float = 0.35
-    tolerance_attain: float = 1e-4
-    tolerance_exceed: float = 1e-9
 
     def __post_init__(self):
         if not 2 <= self.grid_tau1 <= TAU1_GRID_MAX:
@@ -86,15 +96,8 @@ class SearchConfig:
         for name in ("grid_r", "grid_theta"):
             if getattr(self, name) < 2:
                 raise ValueError(f"{name} must be >= 2")
-        if self.refinement_rounds < 0:
-            raise ValueError("refinement_rounds must be >= 0")
-        if not 0 < self.shrink_factor < 1:
-            raise ValueError("shrink_factor must lie in (0, 1)")
-        for name in ("tolerance_attain", "tolerance_exceed"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not self.tolerance_exceed <= 1e-9 <= self.tolerance_attain:
-            raise ValueError("need tolerance_exceed <= 1e-9 <= tolerance_attain")
+        if not 0 <= self.refinement_rounds <= REFINEMENT_ROUNDS_MAX:
+            raise ValueError(f"refinement_rounds must lie in [0, {REFINEMENT_ROUNDS_MAX}]")
 
 
 @dataclass(frozen=True)
@@ -272,8 +275,7 @@ def verify(theorem_id: str, cfg: SearchConfig = SearchConfig()) -> VerificationR
     An exceeded bound comes back as a failed report, never an exception.
     """
     th = _theorem(theorem_id)
-    value, t1, evals = tau1_argmax(th.profile, cfg.grid_tau1, cfg.refinement_rounds,
-                                   cfg.shrink_factor)
+    value, t1, evals = tau1_argmax(th.profile, cfg.grid_tau1, cfg.refinement_rounds, SHRINK)
     empirical = th.sign * value
     gap = th.sign * (th.bound.value - empirical)
     return VerificationReport(
@@ -283,7 +285,7 @@ def verify(theorem_id: str, cfg: SearchConfig = SearchConfig()) -> VerificationR
         maximizer=th.maximizer(t1),
         gap=gap,
         evaluations=evals,
-        passed=-cfg.tolerance_exceed <= gap <= cfg.tolerance_attain,
+        passed=-EXCEED_TOL <= gap <= ATTAIN_TOL,
     )
 
 

@@ -40,7 +40,7 @@ from coeffsharp.lemmas import (
     y_closed_form,
 )
 from coeffsharp.series_engine import exp_series, log_series, series, series_div, starlike_from_schwarz
-from coeffsharp.verifier import THEOREM_IDS, SearchConfig, verify_all
+from coeffsharp.verifier import ATTAIN_TOL, EXCEED_TOL, THEOREM_IDS, SearchConfig, verify_all
 
 from case_profiles import HANKEL_TAU, TAU_SPLIT, Phi, Psi, hankel_tau
 
@@ -109,8 +109,8 @@ def test_criterion_3_global_search_attainment():
     elapsed = time.time() - t0
     assert [rep.theorem_id for rep in reports] == list(THEOREM_IDS)
     for rep in reports:
-        assert rep.gap >= -cfg.tolerance_exceed, (rep.theorem_id, rep.gap)
-        assert rep.gap <= cfg.tolerance_attain, (rep.theorem_id, rep.gap)
+        assert rep.gap >= -EXCEED_TOL, (rep.theorem_id, rep.gap)
+        assert rep.gap <= ATTAIN_TOL, (rep.theorem_id, rep.gap)
         # tighter gate: tau2 and tau3 are eliminated exactly, so only the
         # tau1 grid leaves a gap
         assert rep.gap <= 1e-6, (rep.theorem_id, rep.gap)

@@ -11,6 +11,7 @@ import pytest
 from coeffsharp import cli
 from coeffsharp.cli import main
 from coeffsharp.exprs import parse_expr, parse_number
+from coeffsharp.verifier import REFINEMENT_ROUNDS_MAX
 
 COARSE_CONFIG = """
 # coarse but sound search
@@ -18,7 +19,6 @@ grid_tau1 = 13
 grid_r = 5
 grid_theta = 8
 refinement_rounds = 2
-shrink_factor = 0.4
 """
 
 
@@ -305,8 +305,9 @@ def test_verify_single_with_config_and_json(tmp_path, capsys):
 
     text = out_json.read_text()
     payload = json.loads(text)
-    assert payload["schema"] == 1
-    assert payload["config"]["grid_tau1"] == 13
+    assert payload["schema"] == 2
+    assert payload["config"] == {"grid_tau1": 13, "grid_r": 5, "grid_theta": 8,
+                                 "refinement_rounds": 2}
     assert payload["results"][0]["theorem"] == "gamma2"
     assert payload["results"][0]["passed"] is True
     # byte-identical round trip
@@ -367,7 +368,7 @@ def test_verify_failed_attainment_exits_one(tmp_path, capsys):
     # moduli difference: sound but not attained, so the command reports it
     cfg = tmp_path / "search.cfg"
     cfg.write_text("grid_tau1 = 31\ngrid_r = 9\ngrid_theta = 24\n"
-                   "refinement_rounds = 3\nshrink_factor = 0.4\n")
+                   "refinement_rounds = 3\n")
     code, out, _ = run(capsys, "verify", "diff_Gamma_lower", "--config", str(cfg))
     assert code == 1
     assert "FAILED" in out and "0/1 passed" in out
@@ -390,10 +391,19 @@ def test_verify_bad_config(tmp_path, capsys):
     assert run(capsys, "verify", "gamma1", "--config", str(cfg))[0] == 2
     cfg.write_text("grid_tau1\n")
     assert run(capsys, "verify", "gamma1", "--config", str(cfg))[0] == 2
-    for line in ("tolerance_attain = inf", "tolerance_exceed = -inf", "shrink_factor = nan"):
+    # the shrink and the pass tolerances are constants: a valid-looking value
+    # is refused by its key
+    for line in ("shrink_factor = 0.4", "tolerance_attain = 1e-3", "tolerance_exceed = 1e-12"):
         cfg.write_text(line + "\n")
-        code, out, _ = run(capsys, "verify", "gamma1", "--config", str(cfg))
-        assert code == 2 and out == "", line
+        code, out, err = run(capsys, "verify", "gamma1", "--config", str(cfg))
+        assert code == 2 and out == "" and "unknown config key" in err, line
+
+
+def test_verify_refinement_rounds_past_the_cap_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "search.cfg"
+    cfg.write_text(f"refinement_rounds = {REFINEMENT_ROUNDS_MAX + 1}\n")
+    code, out, err = run(capsys, "verify", "all", "--config", str(cfg))
+    assert code == 2 and out == "" and "refinement_rounds" in err
 
 
 # --- lemma ----------------------------------------------------------------------

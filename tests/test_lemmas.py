@@ -21,8 +21,6 @@ from coeffsharp.lemmas import (
     psi_minus_bound,
     psi_plus_bound,
     Y_GRID_MAX,
-    disk_argmax,
-    disk_max,
     form_argmax,
     form_max,
     y_argmax,
@@ -396,7 +394,7 @@ def test_circle_argmax_across_magnitudes():
     circle = np.exp(1j * np.linspace(0.0, 2 * np.pi, 4096, endpoint=False))
     for a, b, c in itertools.product(MAGNITUDES, (0.0,) + MAGNITUDES, MAGNITUDES):
         for A in (a, -a):
-            z = disk_argmax(A, b, c, 0.0)
+            z = form_argmax(A, b, c, 0.0)[0]
             assert abs(abs(z) - 1) <= 1e-15
             # compare moduli at a common power-of-two scale, where nothing underflows
             e = math.frexp(max(a, b, c))[1]
@@ -427,26 +425,29 @@ def test_y_argmax_attains_the_closed_form_on_every_branch():
     assert set(seen) == {b for _, b, _ in BRANCH_EXEMPLARS}
 
 
-def test_disk_max_scales_y_and_takes_the_circle_limit():
+def test_form_max_scales_y_and_takes_the_circle_limit():
     rng = np.random.default_rng(8)
     circle = np.exp(1j * np.linspace(0.0, 2 * np.pi, 20000, endpoint=False))
+
+    def top(A, B, C, W):
+        return float(form_max(*np.array([[A], [B], [C], [W]]))[0])
+
     for A, B, C in rng.uniform(-2, 2, size=(200, 3)).tolist():
         for W in (0.5, 3.0):
             want = W * y_closed_form(YInput(A / W, B / W, C / W))
-            assert disk_max(A, B, C, W) == pytest.approx(want, rel=1e-14)
-            z = disk_argmax(A, B, C, W)
-            assert abs(disk_objective(A, B, C, z, W) - disk_max(A, B, C, W)) <= 1e-12
             # the form with weight -W peaks as high, with tau3 turned around
             for w in (W, -W):
+                assert top(A, B, C, w) == pytest.approx(want, rel=1e-14)
                 tau2, tau3 = form_argmax(A, B, C, w)
+                assert abs(disk_objective(A, B, C, tau2, W) - top(A, B, C, w)) <= 1e-12
                 at = A + B * tau2 + C * tau2 * tau2 + w * (1 - abs(tau2) ** 2) * tau3
-                assert abs(abs(at) - disk_max(A, B, C, W)) <= 1e-12, (A, B, C, w)
+                assert abs(abs(at) - top(A, B, C, W)) <= 1e-12, (A, B, C, w)
         # W = 0: the maximum modulus on the circle, against a dense circle scan
-        top = disk_max(A, B, C, 0.0)
         brute = float(np.abs(A + B * circle + C * circle * circle).max())
-        assert brute - 1e-12 <= top <= brute + 1e-6, (A, B, C)
-        z = disk_argmax(A, B, C, 0.0)
-        assert abs(abs(z) - 1) <= 1e-15 and abs(abs(A + B * z + C * z * z) - top) <= 1e-12
+        assert brute - 1e-12 <= top(A, B, C, 0.0) <= brute + 1e-6, (A, B, C)
+        z = form_argmax(A, B, C, 0.0)[0]
+        assert abs(abs(z) - 1) <= 1e-15
+        assert abs(abs(A + B * z + C * z * z) - top(A, B, C, 0.0)) <= 1e-12
 
 
 def test_y_seam_continuity():

@@ -14,6 +14,8 @@ from coeffsharp.caratheodory import CaratheodoryPoint, c3_parts, c12, coeffs_fro
 from coeffsharp.functionals import _FUNCTIONALS, evaluate_functional
 from coeffsharp.lemmas import TAU1_GRID_MAX, form_max, form_tau3
 from coeffsharp.verifier import (
+    EXCEED_TOL,
+    REFINEMENT_ROUNDS_MAX,
     THEOREM_IDS,
     THEOREMS,
     SearchConfig,
@@ -25,8 +27,7 @@ from coeffsharp.verifier import (
 
 from case_profiles import TAU_SPLIT, Psi
 
-COARSE = SearchConfig(grid_tau1=13, grid_r=5, grid_theta=8,
-                      refinement_rounds=2, shrink_factor=0.4)
+COARSE = SearchConfig(grid_tau1=13, grid_r=5, grid_theta=8, refinement_rounds=2)
 
 # the three-parameter targets and the scalar functional each one bounds
 THREE_PARAM = {"gamma3": "gamma3", "H21_log": "H21_log", "H21_inverse": "H21_log_inverse"}
@@ -81,18 +82,11 @@ def random_t1_tau2(seed, n=200):
 def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(grid_tau1=1)
-    with pytest.raises(ValueError):
-        SearchConfig(shrink_factor=1.0)
-    with pytest.raises(ValueError):
-        SearchConfig(tolerance_attain=1e-10)
-    with pytest.raises(ValueError):
-        SearchConfig(tolerance_exceed=1e-6)
-    with pytest.raises(ValueError):
-        SearchConfig(refinement_rounds=-1)
-    with pytest.raises(ValueError, match="finite"):
-        SearchConfig(tolerance_attain=math.inf)
-    with pytest.raises(ValueError, match="finite"):
-        SearchConfig(tolerance_exceed=-math.inf)
+    # rounds are capped: each rescans its window, collapsed or not
+    for rounds in (-1, REFINEMENT_ROUNDS_MAX + 1):
+        with pytest.raises(ValueError, match="refinement_rounds"):
+            SearchConfig(refinement_rounds=rounds)
+    assert SearchConfig(refinement_rounds=REFINEMENT_ROUNDS_MAX).refinement_rounds == REFINEMENT_ROUNDS_MAX
     # grids are capped before any scan allocates them
     for grid in (TAU1_GRID_MAX + 1, 10 ** 9):
         with pytest.raises(ValueError, match="grid_tau1"):
@@ -114,7 +108,7 @@ def test_theorem_id_roster():
 def test_coarse_grid_never_exceeds(theorem_id):
     # coarse grids undershoot the extremum but cannot overshoot a true bound
     rep = verify(theorem_id, COARSE)
-    assert rep.gap >= -COARSE.tolerance_exceed
+    assert rep.gap >= -EXCEED_TOL
 
 
 def test_exact_grid_targets_attain_even_on_coarse_grid():
@@ -126,8 +120,7 @@ def test_exact_grid_targets_attain_even_on_coarse_grid():
 
 def test_refinement_improves_incumbent():
     no_refine = SearchConfig(grid_tau1=31, grid_r=5, grid_theta=8, refinement_rounds=0)
-    refined = SearchConfig(grid_tau1=31, grid_r=5, grid_theta=8,
-                           refinement_rounds=5, shrink_factor=0.4)
+    refined = SearchConfig(grid_tau1=31, grid_r=5, grid_theta=8, refinement_rounds=5)
     a = verify("diff_gamma_lower", no_refine)
     b = verify("diff_gamma_lower", refined)
     assert b.empirical_extremum <= a.empirical_extremum
@@ -135,8 +128,7 @@ def test_refinement_improves_incumbent():
 
 
 def test_determinism_bit_for_bit():
-    cfg = SearchConfig(grid_tau1=21, grid_r=5, grid_theta=12,
-                       refinement_rounds=3, shrink_factor=0.5)
+    cfg = SearchConfig(grid_tau1=21, grid_r=5, grid_theta=12, refinement_rounds=3)
     first = verify_all(cfg)
     second = verify_all(cfg)
     assert first == second
