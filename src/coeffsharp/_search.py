@@ -1,17 +1,14 @@
 """The one search engine: ``tau1_argmax`` maximizes any profile over [0, 1]
 by a scan, then shrinking windows.  Every search here is such a profile: of
 tau1 in the verifier and the L23, L24 and psi oracles, of the radius in the
-Y oracle."""
+Y oracle.  Only the verifier's grid and rounds are set, by its config; the
+oracles scan at counts fixed in ``lemmas``."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
-
-#: largest tau1 grid of a search config or an oracle's ``samples``: a scan
-#: holds a few arrays of that many points, so the cap bounds its memory
-TAU1_GRID_MAX = 100_000
 
 
 def tau1_argmax(profile, count: int, rounds: int = 0, shrink: float = 0.35):

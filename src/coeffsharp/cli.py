@@ -21,8 +21,6 @@ from .caratheodory import CaratheodoryPoint, SchwarzCoeffs
 from .exprs import parse_number
 from .functionals import FUNCTIONAL_NAMES, evaluate_functional
 from .lemmas import (
-    TAU1_GRID_MAX,
-    Y_GRID_MAX,
     PsiInput,
     YInput,
     lemma23_bound,
@@ -38,7 +36,7 @@ from .lemmas import (
 from .series_engine import COMPLEX, cosh_series, extremal_function, monomial, series, starlike_from_schwarz
 from .verifier import THEOREM_IDS, SearchConfig, VerificationReport, verify
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 SERIES_ORDER_MAX = 512  # f1 at this order takes about 2 s; its coefficients grow with the order
 
@@ -121,10 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lemma.add_argument("params", nargs="+", help="lemma parameters")
     p_lemma.add_argument("--oracle", action="store_true",
                          help="also run the brute-force oracle")
-    p_lemma.add_argument("--samples", type=int, default=None,
-                         help=f"tau1 grid size of the L23/L24 oracles, 2 to {TAU1_GRID_MAX}")
-    p_lemma.add_argument("--grid", type=int, default=200,
-                         help=f"radii of the Y oracle, 100 to {Y_GRID_MAX}")
     p_lemma.add_argument("--json", metavar="PATH")
     p_lemma.set_defaults(handler=_cmd_lemma)
 
@@ -202,7 +196,7 @@ def _cmd_series(args, started) -> int:
     s = _series_for(args)
     if args.format == "frac" and s.mode == COMPLEX:
         raise UsageError("coefficients are not exact rationals; use --format dec")
-    print(", ".join(_fmt_coeff(k, c, args.format) for k, c in enumerate(s.coeffs)))
+    line = ", ".join(_fmt_coeff(k, c, args.format) for k, c in enumerate(s.coeffs))
     results = {
         "which": args.which,
         "order": s.order,
@@ -211,6 +205,7 @@ def _cmd_series(args, started) -> int:
     }
     _write_manifest(args.json, "series", {"order": args.order, "format": args.format},
                     started, results)
+    print(line)
     return 0
 
 
@@ -242,8 +237,9 @@ def _cmd_eval(args, started) -> int:
         "value": value.real if name.startswith("diff_") else {"re": value.real, "im": value.imag},
         "magnitude": abs(value),
     }
-    print(json.dumps(payload, indent=2, allow_nan=False))
+    text = json.dumps(payload, indent=2, allow_nan=False)
     _write_manifest(args.json, "eval", {}, started, payload)
+    print(text)
     return 0
 
 
@@ -318,14 +314,13 @@ def _cmd_verify(args, started) -> int:
         raise UsageError(f"unknown theorem {args.theorem!r}; "
                          f"choose from all, {', '.join(THEOREM_IDS)}")
     reports = [verify(theorem_id, cfg) for theorem_id in ids]
-    _print_report_table(reports)
-    failed = [rep for rep in reports if not rep.passed]
-    npass = len(reports) - len(failed)
-    print(f"{npass}/{len(reports)} passed")
-    for rep in failed:
-        print(f"FAILED: {json.dumps(_report_json(rep), allow_nan=False)}")
     _write_manifest(args.json, "verify", asdict(cfg), started,
                     [_report_json(rep) for rep in reports])
+    _print_report_table(reports)
+    failed = [rep for rep in reports if not rep.passed]
+    print(f"{len(reports) - len(failed)}/{len(reports)} passed")
+    for rep in failed:
+        print(f"FAILED: {json.dumps(_report_json(rep), allow_nan=False)}")
     return 0 if not failed else 1
 
 
@@ -346,12 +341,8 @@ def _lemma_params(args, count: int, label: str):
 
 
 def _cmd_lemma(args, started) -> int:
-    # checked before anything is printed, as the oracle runs after the bound
-    if not 100 <= args.grid <= Y_GRID_MAX:
-        raise UsageError(f"--grid must lie in [100, {Y_GRID_MAX}]")
-    if args.samples is not None and not 2 <= args.samples <= TAU1_GRID_MAX:
-        raise UsageError(f"--samples must lie in [2, {TAU1_GRID_MAX}]")
     results: dict
+    lines = []  # printed after the report file is written
     code = 0
     if args.lemma == "Y":
         a, b, c = _lemma_params(args, 3, "A B C")
@@ -359,29 +350,29 @@ def _cmd_lemma(args, started) -> int:
         closed = y_closed_form(yin)
         results = {"lemma": "Y", "inputs": [a, b, c], "closed_form": closed,
                    "branch": y_branch(yin)}
-        print(f"closed form: {closed!r}  (branch {results['branch']})")
+        lines.append(f"closed form: {closed!r}  (branch {results['branch']})")
         if args.oracle:
-            brute = y_brute_force(yin, grid=args.grid)
+            brute = y_brute_force(yin)
             results["oracle"] = brute
             results["discrepancy"] = abs(closed - brute)
-            print(f"oracle: {brute!r}  |difference|: {results['discrepancy']:.3e}")
+            lines.append(f"oracle: {brute!r}  |difference|: {results['discrepancy']:.3e}")
     elif args.lemma == "L23":
         (v,) = _lemma_params(args, 1, "v")
         bound = lemma23_bound(v)
         results = {"lemma": "L23", "inputs": [v], "bound": bound}
-        print(f"bound: {bound!r}")
+        lines.append(f"bound: {bound!r}")
         if args.oracle:
-            emp = lemma23_empirical(v, samples=args.samples or 48)
+            emp = lemma23_empirical(v)
             results["oracle"] = emp
             results["discrepancy"] = abs(bound - emp)
-            print(f"oracle: {emp!r}  |difference|: {results['discrepancy']:.3e}")
+            lines.append(f"oracle: {emp!r}  |difference|: {results['discrepancy']:.3e}")
     elif args.lemma == "L24":
         b, d = _lemma_params(args, 2, "B D")
-        report = lemma24_check(b, d, samples=args.samples or 21)
+        report = lemma24_check(b, d)
         results = {"lemma": "L24", "inputs": [b, d],
                    "empirical_max": report.empirical_max, "passed": report.passed}
-        print(f"empirical max: {report.empirical_max!r}  "
-              f"{'<= 2 (pass)' if report.passed else 'EXCEEDS 2'}")
+        lines.append(f"empirical max: {report.empirical_max!r}  "
+                     f"{'<= 2 (pass)' if report.passed else 'EXCEEDS 2'}")
         if not report.passed:
             code = 1
     else:  # L41
@@ -392,14 +383,14 @@ def _cmd_lemma(args, started) -> int:
         pin = PsiInput(b1, b2, b3)
         bound = psi_plus_bound(pin) if side == "plus" else psi_minus_bound(pin)
         results = {"lemma": "L41", "side": side, "inputs": [b1, b2, b3], "bound": bound}
-        print(f"bound: {bound!r}")
+        lines.append(f"bound: {bound!r}")
         if args.oracle:
             lo, hi = psi_empirical(pin)
             results["oracle_min"] = lo
             results["oracle_max"] = hi
             emp = hi if side == "plus" else -lo
             results["discrepancy"] = abs(bound - emp)
-            print(f"oracle extreme: {emp!r}  |difference|: {results['discrepancy']:.3e}")
-    _write_manifest(args.json, "lemma", {"samples": args.samples, "grid": args.grid},
-                    started, results)
+            lines.append(f"oracle extreme: {emp!r}  |difference|: {results['discrepancy']:.3e}")
+    _write_manifest(args.json, "lemma", {}, started, results)
+    print("\n".join(lines))
     return code

@@ -12,32 +12,43 @@ import math
 import re
 from fractions import Fraction
 
-_RATIO = re.compile(r"(\d+)\s*(?:/\s*(\d+))?\Z")
+# one "sqrt(" layer with its optional minus
+_SQRT_OPEN = re.compile(r"\s*(-?)\s*sqrt\(")
+# the innermost ratio with its optional minus, then the closing parentheses
+_CORE = re.compile(r"\s*(-?)\s*(\d+)\s*(?:/\s*(\d+))?((?:\s*\))*)\s*\Z")
 
 __all__ = ["parse_expr", "parse_number"]
 
 
 def parse_expr(text: str):
-    """Parse an exact constant; Fraction when rational, float under sqrt."""
-    s = text.strip()
-    if s.startswith("-"):
-        return -_parse_unsigned(s[1:].strip(), text)
-    return _parse_unsigned(s, text)
+    """Parse an exact constant; Fraction when rational, float under sqrt.
 
-
-def _parse_unsigned(s: str, text: str):
-    if s.startswith("sqrt(") and s.endswith(")"):
-        inner = parse_expr(s[5:-1])
-        if inner < 0:
-            raise ValueError(f"sqrt of a negative value in {text!r}")
-        return math.sqrt(inner)
-    m = _RATIO.fullmatch(s)
-    if not m:
+    The ``sqrt(`` layers are read in a loop, not by recursion, so any depth
+    parses.  A negative value under sqrt, or one past the float range, is a
+    ValueError.
+    """
+    signs, pos = [], 0
+    while m := _SQRT_OPEN.match(text, pos):
+        signs.append(m.group(1))
+        pos = m.end()
+    m = _CORE.match(text, pos)
+    if not m or m.group(4).count(")") != len(signs):
         raise ValueError(f"cannot parse constant {text!r}")
-    den = int(m.group(2)) if m.group(2) else 1
+    sign, num, den, _ = m.groups()
+    den = int(den or 1)
     if den == 0:
         raise ValueError(f"zero denominator in {text!r}")
-    return Fraction(int(m.group(1)), den)
+    value = Fraction(int(num), den)
+    value = -value if sign else value
+    for sign in reversed(signs):  # from the innermost layer out
+        if value < 0:
+            raise ValueError(f"sqrt of a negative value in {text!r}")
+        try:
+            value = math.sqrt(value)
+        except OverflowError:  # a ratio past the float range
+            raise ValueError(f"sqrt of a value past the float range in {text!r}") from None
+        value = -value if sign else value
+    return value
 
 
 def parse_number(text: str):

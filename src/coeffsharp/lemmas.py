@@ -12,6 +12,10 @@ Two families live here.
   ``|B2 c1^2 + B3 c2| - |B1 c1|`` over positive-real-part coefficients,
   whose oracles scan profiles of tau1 alone.
 
+Every oracle scans a fixed count of points and takes no count argument: it
+eliminates the angle, or tau2 and tau3, exactly, so a finer grid would move
+its answer by rounding at most.
+
 Boundary ties in piecewise conditions resolve to the first listed branch;
 the branches agree at the seams (see the seam tests).
 """
@@ -25,17 +29,18 @@ from numbers import Rational
 
 import numpy as np
 
-from ._search import TAU1_GRID_MAX, tau1_argmax
+from ._search import tau1_argmax
 from .caratheodory import c12, c3_parts
 
 _PSI_GRID, _PSI_ROUNDS, _PSI_SHRINK = 121, 10, 0.1  # psi_empirical's tau1 scans
-# y_brute_force's windows over the radius: each spans about 2.5 steps of the scan
-# before it on each side of the incumbent, and the last reaches the rounding floor
-_Y_ROUNDS, _Y_SHRINK = 4, 0.05
+# y_brute_force's radii; each window spans about 2.5 steps of the scan before it
+# on each side of the incumbent, and the last reaches the rounding floor
+_Y_GRID, _Y_ROUNDS, _Y_SHRINK = 200, 4, 0.05
+# tau1 points of the L23 and L24 scans: the L23 profile is linear in t^2, so it
+# peaks at t = 0 or 1, and the L24 maximum 2 is attained at t = 0
+_L23_SAMPLES, _L24_SAMPLES = 48, 21
 
 __all__ = [
-    "TAU1_GRID_MAX",
-    "Y_GRID_MAX",
     "YInput",
     "PsiInput",
     "Lemma24Report",
@@ -284,11 +289,6 @@ def form_argmax(A: float, B: float, C: float, W: float) -> tuple:
     return tau2, form_tau3(A, B, C, W, tau2)
 
 
-#: largest ``y_brute_force`` grid: the radius scan holds only grid-long vectors,
-#: but the cap stays the bound of the ``--grid`` contract
-Y_GRID_MAX = 2000
-
-
 def _y_radius_profile(A: float, B: float, C: float):
     """The disk objective's maximum over the circle of each radius r, as a
     profile of r for :func:`tau1_argmax` (elementwise over numpy radii).
@@ -317,19 +317,16 @@ def _y_radius_profile(A: float, B: float, C: float):
     return profile
 
 
-def y_brute_force(yin: YInput, grid: int = 200) -> float:
+def y_brute_force(yin: YInput) -> float:
     """Maximum of the disk objective by a search over the radius alone; the
     oracle for y_closed_form.
 
     At each radius the angle is eliminated exactly (:func:`_y_radius_profile`),
-    and :func:`tau1_argmax` scans ``grid`` radii of [0, 1], then windows around
-    the incumbent.  It shares nothing with the branch ladder of the closed
-    form.  ``grid`` must lie in [100, Y_GRID_MAX].
+    and :func:`tau1_argmax` scans 200 radii of [0, 1], then windows around the
+    incumbent.  It shares nothing with the branch ladder of the closed form.
     """
-    if not 100 <= grid <= Y_GRID_MAX:
-        raise ValueError(f"grid must lie in [100, {Y_GRID_MAX}] radii")
     profile = _y_radius_profile(yin.A, yin.B, yin.C)
-    return tau1_argmax(profile, grid, _Y_ROUNDS, _Y_SHRINK)[0]
+    return tau1_argmax(profile, _Y_GRID, _Y_ROUNDS, _Y_SHRINK)[0]
 
 
 def lemma23_bound(v: float) -> float:
@@ -343,24 +340,17 @@ def lemma23_bound(v: float) -> float:
     return _finite(4 * v - 2)
 
 
-def _check_samples(samples: int) -> None:
-    if not 2 <= samples <= TAU1_GRID_MAX:
-        raise ValueError(f"samples must lie in [2, {TAU1_GRID_MAX}], got {samples}")
-
-
-def lemma23_empirical(v: float, samples: int = 48) -> float:
+def lemma23_empirical(v: float) -> float:
     """Grid maximum of |c2 - v c1^2|; approaches lemma23_bound from below.
 
     With c1 = 2t and u = 1 - t^2, ``c2 - v c1^2 = (2 - 4v) t^2 + 2u tau2``,
     so its sup over the tau2 disk is ``|2t^2 - 4v t^2| + 2u``; that profile
-    is scanned at ``samples`` (2 to TAU1_GRID_MAX) points of t in [0, 1].
+    is scanned at 48 points of t in [0, 1], 0 and 1 among them.
     """
-    _check_samples(samples)
-
     def profile(t):
         return np.abs(2.0 * t * t - 4.0 * v * t * t) + 2.0 * (1.0 - t * t)
 
-    return tau1_argmax(profile, samples)[0]
+    return tau1_argmax(profile, _L23_SAMPLES)[0]
 
 
 @dataclass(frozen=True)
@@ -380,23 +370,22 @@ def _lemma24_form(B: float, D: float, t1) -> tuple:
     return form_coefficients(value)
 
 
-def lemma24_check(B: float, D: float, samples: int = 21) -> Lemma24Report:
+def lemma24_check(B: float, D: float) -> Lemma24Report:
     """Empirical maximum of |c3 - 2B c1 c2 + D c1^3|, checked against 2.
 
     It is ``A + B' tau2 + C tau2^2 + W (1 - |tau2|^2) tau3`` with real A, B',
     C and ``W = 2 (1 - tau1^2)``, so its maximum over (tau2, tau3) is
-    :func:`form_max`, a profile of tau1 scanned at ``samples`` points of
-    [0, 1].  ``at`` holds the maximizing triple, (tau2, tau3) exactly.
+    :func:`form_max`, a profile of tau1 scanned at 21 points of [0, 1].
+    ``at`` holds the maximizing triple, (tau2, tau3) exactly.
 
     Requires the hypothesis 0 <= B <= 1 and B(2B - 1) <= D <= B; anything
-    else is rejected, as is ``samples`` outside [2, TAU1_GRID_MAX].
+    else is rejected.
     """
-    _check_samples(samples)
     if not (0 <= B <= 1):
         raise ValueError("hypothesis violated: need 0 <= B <= 1")
     if not (B * (2 * B - 1) <= D <= B):
         raise ValueError("hypothesis violated: need B(2B - 1) <= D <= B")
-    best, t1, _ = tau1_argmax(lambda t: form_max(*_lemma24_form(B, D, t)), samples)
+    best, t1, _ = tau1_argmax(lambda t: form_max(*_lemma24_form(B, D, t)), _L24_SAMPLES)
     return Lemma24Report(best, best <= 2.0 + 1e-9, (t1, *form_argmax(*_lemma24_form(B, D, t1))))
 
 

@@ -44,7 +44,7 @@ from functools import cache, cached_property, partial
 
 import numpy as np
 
-from ._search import TAU1_GRID_MAX, tau1_argmax
+from ._search import tau1_argmax
 from .caratheodory import CaratheodoryPoint, coeffs_from_point
 from .functionals import FunctionalValue, evaluate_functional
 from .lemmas import form_argmax, form_coefficients, form_max
@@ -79,6 +79,9 @@ ATTAIN_TOL, EXCEED_TOL = 1e-4, 1e-9
 #: most refinement rounds of a config: round 64's window is narrower than
 #: 1e-29, and every round rescans its window, collapsed or not
 REFINEMENT_ROUNDS_MAX = 64
+#: largest tau1 grid of a config: a scan holds a few arrays of that many
+#: points, so the cap bounds its memory
+TAU1_GRID_MAX = 100_000
 
 
 @dataclass(frozen=True)

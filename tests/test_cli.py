@@ -248,6 +248,8 @@ def test_lemma_rejects_overflowing_results(capsys, argv):
 
 
 HUGE = "1" + "0" * 400  # an exact integer of 401 digits, past the float range
+SQRT_HUGE = f"sqrt({HUGE})"  # its square root is a float, but the integer is not
+DEEP = 3000  # sqrt( layers, far past the interpreter's recursion limit
 
 
 @pytest.mark.parametrize("argv", [
@@ -257,10 +259,25 @@ HUGE = "1" + "0" * 400  # an exact integer of 401 digits, past the float range
     ("lemma", "L23", HUGE),
     ("lemma", "L24", HUGE, "0"),
     ("lemma", "L41", "plus", "1", "1", f"-{HUGE}"),
-], ids=["eval-c", "eval-tau", "Y", "L23", "L24", "L41"])
+    ("eval", "gamma1", "--c", SQRT_HUGE),
+    ("eval", "gamma1", "--tau", "0", SQRT_HUGE, "0"),
+    ("lemma", "Y", SQRT_HUGE, "0", "0"),
+    ("series", "custom-omega", "--omega", "0", SQRT_HUGE),
+    ("eval", "gamma1", "--c", "sqrt(" * DEEP + HUGE + ")" * DEEP),
+    ("lemma", "Y", "sqrt(" * DEEP + "-2" + ")" * DEEP, "0", "0"),
+], ids=["eval-c", "eval-tau", "Y", "L23", "L24", "L41", "eval-c-sqrt", "eval-tau-sqrt",
+        "Y-sqrt", "series-sqrt", "eval-c-deep-sqrt", "Y-deep-sqrt-negative"])
 def test_huge_exact_input_exits_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_deeply_nested_sqrt_parses(capsys):
+    # the sqrt( layers are read in a loop: any depth is a number
+    deep = "sqrt(" * DEEP + "4" + ")" * DEEP
+    assert parse_expr(deep) == 1.0 and parse_expr(f"-{deep}") == -1.0
+    code, out, _ = run(capsys, "eval", "gamma1", "--c", deep)
+    assert code == 0 and json.loads(out)["magnitude"] == 0.25
 
 
 def test_series_takes_a_huge_exact_omega(capsys):
@@ -305,7 +322,7 @@ def test_verify_single_with_config_and_json(tmp_path, capsys):
 
     text = out_json.read_text()
     payload = json.loads(text)
-    assert payload["schema"] == 2
+    assert payload["schema"] == 3
     assert payload["config"] == {"grid_tau1": 13, "grid_r": 5, "grid_theta": 8,
                                  "refinement_rounds": 2}
     assert payload["results"][0]["theorem"] == "gamma2"
@@ -375,11 +392,12 @@ def test_verify_failed_attainment_exits_one(tmp_path, capsys):
 
 
 def test_verify_unwritable_json_exits_two(tmp_path, capsys):
-    cfg = tmp_path / "search.cfg"
-    cfg.write_text(COARSE_CONFIG)
-    code, _, err = run(capsys, "verify", "gamma1", "--config", str(cfg),
-                       "--json", str(tmp_path / "no" / "dir" / "x.json"))
-    assert code == 2 and "cannot write" in err
+    # every command writes its report before it prints, so exit 2 prints nothing
+    path = str(tmp_path / "no" / "dir" / "x.json")
+    for argv in (("series", "f1", "--order", "4"), ("eval", "gamma1", "--c", "2"),
+                 ("verify", "gamma1"), ("lemma", "Y", "--oracle", "-0.2", "0.5", "0.3")):
+        code, out, err = run(capsys, *argv, "--json", path)
+        assert code == 2 and out == "" and "cannot write" in err, argv
 
 
 def test_verify_bad_config(tmp_path, capsys):
@@ -408,13 +426,18 @@ def test_verify_refinement_rounds_past_the_cap_exits_two(tmp_path, capsys):
 
 # --- lemma ----------------------------------------------------------------------
 
-def test_lemma_y_with_oracle(capsys):
-    code, out, _ = run(capsys, "lemma", "Y", "--oracle", "--grid", "120",
+def test_lemma_y_with_oracle(tmp_path, capsys):
+    path = tmp_path / "y.json"
+    code, out, _ = run(capsys, "lemma", "Y", "--oracle", "--json", str(path),
                        "--", "-0.2", "0.5", "0.3")
     assert code == 0
     closed = float(out.split("closed form: ")[1].split()[0])
     oracle = float(out.split("oracle: ")[1].split()[0])
     assert abs(closed - oracle) <= 1e-12 * max(1.0, abs(closed))
+    # the oracle's counts are fixed, so the envelope has no config to record
+    payload = json.loads(path.read_text())
+    assert (payload["schema"], payload["config"]) == (3, {})
+    assert payload["results"]["oracle"] == oracle
 
 
 @pytest.mark.parametrize("params, line", [
@@ -432,24 +455,38 @@ def test_lemma_y_past_the_float_range(capsys, params, line):
     assert run(capsys, "lemma", "Y", *params) == (code, out, err)
 
 
+# the oracles scan at fixed counts: --grid and --samples are unknown options,
+# refused at every value, the former defaults (200 radii, 48 and 21 samples)
+# included
+
 @pytest.mark.parametrize("grid", ["99", "2001", "100000"])
 def test_lemma_y_grid_out_of_range_exits_two(capsys, grid):
     code, out, err = run(capsys, "lemma", "Y", "0.1", "0.2", "0.3", "--oracle", "--grid", grid)
-    assert code == 2 and out == "" and "--grid" in err
+    assert code == 2 and out == "" and "unrecognized arguments: --grid" in err
 
 
 @pytest.mark.parametrize("argv", [("L23", "1/4", "--oracle"), ("L24", "1/4", "0")])
 @pytest.mark.parametrize("samples", ["1", "0", "-3"])
 def test_lemma_samples_below_two_exit_two(capsys, argv, samples):
     code, out, err = run(capsys, "lemma", *argv, "--samples", samples)
-    assert code == 2 and out == "" and "--samples" in err
+    assert code == 2 and out == "" and "unrecognized arguments: --samples" in err
 
 
 @pytest.mark.parametrize("argv", [("L23", "1/4", "--oracle"), ("L24", "1/4", "0")])
 @pytest.mark.parametrize("samples", ["100001", "1000000000"])
 def test_lemma_samples_above_the_cap_exit_two(capsys, argv, samples):
     code, out, err = run(capsys, "lemma", *argv, "--samples", samples)
-    assert code == 2 and out == "" and "--samples must lie in [2, 100000]" in err
+    assert code == 2 and out == "" and "unrecognized arguments: --samples" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("Y", "--oracle", "--grid", "200", "--", "-0.2", "0.5", "0.3"),
+    ("L23", "--oracle", "--samples", "48", "1/4"),
+    ("L24", "--samples", "21", "1/4", "0"),
+], ids=["Y-grid-200", "L23-samples-48", "L24-samples-21"])
+def test_lemma_count_options_exit_two_at_their_former_defaults(capsys, argv):
+    code, out, err = run(capsys, "lemma", *argv)
+    assert code == 2 and out == "" and "unrecognized arguments" in err
 
 
 @pytest.mark.parametrize("grid", ["1", "100001", "1000000000"])

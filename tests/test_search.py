@@ -7,7 +7,15 @@ import pytest
 
 from coeffsharp import _search
 from coeffsharp._search import tau1_argmax
-from coeffsharp.lemmas import PsiInput, YInput, psi_empirical, y_brute_force
+from coeffsharp.lemmas import (
+    PsiInput,
+    YInput,
+    psi_empirical,
+    y_brute_force,
+    _Y_ROUNDS,
+    _Y_SHRINK,
+    _y_radius_profile,
+)
 from coeffsharp.verifier import SearchConfig, verify_all
 
 
@@ -187,7 +195,9 @@ def test_normal_rounds_never_deduplicate(monkeypatch):
     monkeypatch.setattr(np, "unique", lambda *args, **kw: calls.append(args) or unique(*args, **kw))
     verify_all(SearchConfig())
     psi_empirical(PsiInput(0.25, -0.03125, 0.125))
-    y_brute_force(YInput(-0.2, 0.5, 0.3), grid=2000)
+    y_brute_force(YInput(-0.2, 0.5, 0.3))
+    # and the oracle's radius search on ten times its radii
+    tau1_argmax(_y_radius_profile(-0.2, 0.5, 0.3), 2000, _Y_ROUNDS, _Y_SHRINK)
     assert calls == []
     # at 40 rounds the windows around tau1 = 1 fall below the float spacing
     verify_all(SearchConfig(refinement_rounds=40))

@@ -12,10 +12,11 @@ import pytest
 from coeffsharp import verifier
 from coeffsharp.caratheodory import CaratheodoryPoint, c3_parts, c12, coeffs_from_point
 from coeffsharp.functionals import _FUNCTIONALS, evaluate_functional
-from coeffsharp.lemmas import TAU1_GRID_MAX, form_max, form_tau3
+from coeffsharp.lemmas import form_max, form_tau3
 from coeffsharp.verifier import (
     EXCEED_TOL,
     REFINEMENT_ROUNDS_MAX,
+    TAU1_GRID_MAX,
     THEOREM_IDS,
     THEOREMS,
     SearchConfig,
