@@ -35,17 +35,11 @@ from .caratheodory import (
 )
 from .functionals import (
     FunctionalValue,
-    InverseCoeffs,
-    LogCoeffs,
-    TaylorCoeffs,
     evaluate_functional,
-    gamma_from_a,
     hankel_log,
     hankel_log_inverse,
-    inverse_from_a,
     moduli_diff_Gamma,
     moduli_diff_gamma,
-    taylor_from_c,
 )
 from .lemmas import (
     PsiInput,

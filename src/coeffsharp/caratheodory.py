@@ -44,6 +44,8 @@ __all__ = [
 
 def mag_squared(x):
     """|x|^2 without a square root; exact for rational inputs."""
+    if type(x) is Fraction:  # exact either way, but .real and .imag build Fractions
+        return x * x
     return x.real * x.real + x.imag * x.imag
 
 
@@ -103,15 +105,16 @@ class SchwarzCoeffs:
 def c12(t1, tau2):
     """``(c1, c2)`` of the parameter map, elementwise and unvalidated: exact
     over rationals, broadcasting over numpy arrays."""
-    u = 1 - t1 * t1
-    return 2 * t1, 2 * t1 * t1 + 2 * u * tau2
+    c1 = 2 * t1
+    return c1, c1 * t1 + 2 * (1 - t1 * t1) * tau2
 
 
 def c3_parts(t1, tau2):
     """``(head, w)`` with ``c3 = head + w tau3`` and real ``w >= 0``;
     elementwise and unvalidated, like :func:`c12`."""
     u = 1 - t1 * t1
-    head = 2 * t1 ** 3 + 4 * u * t1 * tau2 - 2 * u * t1 * tau2 * tau2
+    ut = u * t1
+    head = 2 * t1 ** 3 + 4 * ut * tau2 - 2 * ut * tau2 * tau2
     return head, 2 * u * (1 - mag_squared(tau2))
 
 

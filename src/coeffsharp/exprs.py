@@ -19,6 +19,18 @@ _CORE = re.compile(r"\s*(-?)\s*(\d+)\s*(?:/\s*(\d+))?((?:\s*\))*)\s*\Z")
 
 __all__ = ["parse_expr", "parse_number"]
 
+#: characters of an argument an error message echoes back
+_SHOWN = 40
+
+
+def _shown(text: str) -> str:
+    """``repr`` of text, cut after its first ``_SHOWN`` characters."""
+    return repr(text) if len(text) <= _SHOWN else f"{text[:_SHOWN]!r}..."
+
+
+class _NotInGrammar(ValueError):
+    """Text outside the exact grammar; it may still be a decimal."""
+
 
 def parse_expr(text: str):
     """Parse an exact constant; Fraction when rational, float under sqrt.
@@ -33,33 +45,37 @@ def parse_expr(text: str):
         pos = m.end()
     m = _CORE.match(text, pos)
     if not m or m.group(4).count(")") != len(signs):
-        raise ValueError(f"cannot parse constant {text!r}")
+        raise _NotInGrammar(f"cannot parse constant {_shown(text)}")
     sign, num, den, _ = m.groups()
     den = int(den or 1)
     if den == 0:
-        raise ValueError(f"zero denominator in {text!r}")
+        raise ValueError(f"zero denominator in {_shown(text)}")
     value = Fraction(int(num), den)
     value = -value if sign else value
     for sign in reversed(signs):  # from the innermost layer out
         if value < 0:
-            raise ValueError(f"sqrt of a negative value in {text!r}")
+            raise ValueError(f"sqrt of a negative value in {_shown(text)}")
         try:
             value = math.sqrt(value)
         except OverflowError:  # a ratio past the float range
-            raise ValueError(f"sqrt of a value past the float range in {text!r}") from None
+            raise ValueError(f"sqrt of a value past the float range in {_shown(text)}") from None
         value = -value if sign else value
     return value
 
 
 def parse_number(text: str):
-    """Exact constant when possible, otherwise a plain decimal float."""
+    """Exact constant when possible, otherwise a plain decimal float.
+
+    Text of the exact grammar whose value is refused (a zero denominator, or
+    the sqrt of a negative value or of one past the float range) is never a
+    decimal either: its error keeps the reason :func:`parse_expr` gave.
+    """
     try:
         return parse_expr(text)
-    except ValueError:
+    except _NotInGrammar:
         pass
     try:
         return float(text)
     except ValueError:
-        raise ValueError(
-            f"cannot parse {text!r}; use an integer, a ratio like 2/3, sqrt(...), or a decimal"
-        ) from None
+        raise ValueError(f"cannot parse {_shown(text)}; use an integer, a ratio like 2/3, "
+                         "sqrt(...), or a decimal") from None

@@ -129,9 +129,11 @@ _NODES = tuple(Fraction(k, 4) for k in range(5))
 _CHECK = Fraction(1, 3)
 
 
-def _lagrange_basis(nodes) -> list:
+@cache
+def _lagrange_basis(nodes: tuple) -> tuple:
     """Coefficients, highest degree first, of the Lagrange basis polynomials
-    of the nodes: the i-th is 1 at node i and 0 at the others."""
+    of the nodes: the i-th is 1 at node i and 0 at the others.  Computed once
+    and shared by every functional's derivation."""
     basis = []
     for i, xi in enumerate(nodes):
         poly, denom = [Fraction(1)], Fraction(1)
@@ -139,8 +141,13 @@ def _lagrange_basis(nodes) -> list:
             if j != i:
                 poly = [a - xj * b for a, b in zip(poly + [0], [0] + poly)]
                 denom *= xi - xj
-        basis.append([c / denom for c in poly])
-    return basis
+        basis.append(tuple(c / denom for c in poly))
+    return tuple(basis)
+
+
+#: the derivation's points, made once for every functional, so each keeps
+#: its coefficients and is mapped once
+_derivation_point = cache(CaratheodoryPoint)
 
 
 @cache
@@ -154,7 +161,7 @@ def _tau1_polynomials(name: str) -> tuple:
     (tau2, tau3) = (1/2, 1/2) the form in tau2 and tau3.
     """
     def at(t1, tau2, tau3):
-        return evaluate_functional(name, CaratheodoryPoint(t1, tau2, tau3)).value
+        return evaluate_functional(name, _derivation_point(t1, tau2, tau3)).value
 
     basis = _lagrange_basis(_NODES)
     *at_nodes, at_check = (form_coefficients(partial(at, t)) for t in (*_NODES, _CHECK))

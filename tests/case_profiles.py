@@ -1,4 +1,11 @@
-"""The paper's scalar case profiles of the Hankel maximization, kept as test
+"""The paper's reference routes, kept as test cross-checks of the library's
+one definition of each formula.
+
+The a -> gamma chain: the Taylor coefficients a2..a4 of f from c1..c3, then
+the logarithmic coefficients of f and of its inverse from a2..a4.  The
+library writes each gamma_n and Gamma_n directly as a polynomial in c1..c3.
+
+The paper's scalar case profiles of the Hankel maximization, kept as
 cross-checks of the profiles the verifier derives.
 
 ``phi(t) = 12 - 4 t^2 - 5 t^4`` and ``Psi(t) = 12 + 12 t^2 - 33 t^4`` live on
@@ -9,8 +16,68 @@ The paper's tau forms of the two determinants are kept here as well.
 """
 
 import math
+from dataclasses import dataclass
 
 from coeffsharp.caratheodory import mag_squared
+
+
+@dataclass(frozen=True)
+class TaylorCoeffs:
+    a2: complex
+    a3: complex
+    a4: complex
+
+
+@dataclass(frozen=True)
+class LogCoeffs:
+    gamma1: complex
+    gamma2: complex
+    gamma3: complex
+
+
+@dataclass(frozen=True)
+class InverseCoeffs:
+    A2: complex
+    A3: complex
+    A4: complex
+    Gamma1: complex
+    Gamma2: complex
+    Gamma3: complex
+
+
+def taylor_from_c(c) -> TaylorCoeffs:
+    """Taylor coefficients a2..a4.
+
+        a2 = c1/2
+        a3 = c1^2/16 + c2/4
+        a4 = -c1^3/96 + c1 c2/24 + c3/6
+    """
+    c1, c2, c3 = c.c1, c.c2, c.c3
+    a2 = c1 / 2
+    a3 = c1 * c1 / 16 + c2 / 4
+    a4 = -(c1 ** 3) / 96 + c1 * c2 / 24 + c3 / 6
+    return TaylorCoeffs(a2, a3, a4)
+
+
+def gamma_from_a(a: TaylorCoeffs) -> LogCoeffs:
+    """Logarithmic coefficients of f: half the series of log(f(z)/z)."""
+    g1 = a.a2 / 2
+    g2 = (a.a3 - a.a2 * a.a2 / 2) / 2
+    g3 = (a.a4 - a.a2 * a.a3 + a.a2 ** 3 / 3) / 2
+    return LogCoeffs(g1, g2, g3)
+
+
+def inverse_from_a(a: TaylorCoeffs) -> InverseCoeffs:
+    """Coefficients of the local inverse and its logarithmic coefficients."""
+    a2, a3, a4 = a.a2, a.a3, a.a4
+    A2 = -a2
+    A3 = -a3 + 2 * a2 * a2
+    A4 = -a4 + 5 * a2 * a3 - 5 * a2 ** 3
+    G1 = -a2 / 2
+    G2 = -(a3 - 3 * a2 * a2 / 2) / 2
+    G3 = -(a4 - 4 * a2 * a3 + 10 * a2 ** 3 / 3) / 2
+    return InverseCoeffs(A2, A3, A4, G1, G2, G3)
+
 
 #: positive root of 101 t^4 + 148 t^2 - 60, where the fallback branch of the
 #: inverse-Hankel case analysis switches form (~0.575109)

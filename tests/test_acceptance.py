@@ -23,11 +23,8 @@ from coeffsharp.caratheodory import (
 from coeffsharp.cli import main
 from coeffsharp.functionals import (
     evaluate_functional,
-    gamma_from_a,
     hankel_log,
     hankel_log_inverse,
-    inverse_from_a,
-    taylor_from_c,
 )
 from coeffsharp.lemmas import (
     PsiInput,
@@ -42,7 +39,16 @@ from coeffsharp.lemmas import (
 from coeffsharp.series_engine import exp_series, log_series, series, series_div, starlike_from_schwarz
 from coeffsharp.verifier import ATTAIN_TOL, EXCEED_TOL, THEOREM_IDS, SearchConfig, verify_all
 
-from case_profiles import HANKEL_TAU, TAU_SPLIT, Phi, Psi, hankel_tau
+from case_profiles import (
+    HANKEL_TAU,
+    TAU_SPLIT,
+    Phi,
+    Psi,
+    gamma_from_a,
+    hankel_tau,
+    inverse_from_a,
+    taylor_from_c,
+)
 
 
 def _announce(n, text):

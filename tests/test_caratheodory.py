@@ -18,6 +18,7 @@ from coeffsharp.caratheodory import (
     c12,
     coeffs_from_point,
     extremal_p_series,
+    mag_squared,
     schwarz_from_p,
 )
 from coeffsharp.series_engine import monomial, series, series_div
@@ -175,6 +176,45 @@ def test_raw_map_matches_written_out_formulas():
     assert np.isrealobj(w) and (w >= 0).all()
     for got, want in zip((c1, c2, head + w * t3), written_out_c(t1, t2, t3)):
         assert np.abs(got - want).max() <= 1e-14
+
+
+def term_by_term_map(t1, t2):
+    """c1, c2, head and w written out term by term, each square formed where
+    it is used and |tau2|^2 as real^2 + imag^2 for every input."""
+    u = 1 - t1 * t1
+    return (2 * t1, 2 * t1 * t1 + 2 * u * t2,
+            2 * t1 ** 3 + 4 * u * t1 * t2 - 2 * u * t1 * t2 * t2,
+            2 * u * (1 - (t2.real * t2.real + t2.imag * t2.imag)))
+
+
+def same_bits(got, want):
+    return (type(got) is type(want) and np.asarray(got).dtype == np.asarray(want).dtype
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+def test_shared_squares_keep_every_float_bit():
+    rng = np.random.default_rng(21)
+    # tiny tau1 puts tau1^2 among the subnormals, where rounding is coarsest
+    t1 = np.concatenate([[0.0, 1.0, 5e-324, 1e-8, 1 - 2.0 ** -53],
+                         rng.uniform(1e-162, 1e-158, 50), rng.uniform(0.0, 1.0, 250)])
+    r = np.concatenate([[0.0, 1.0, 1.0, 5e-324], np.sqrt(rng.uniform(0.0, 1.0, 196))])
+    t2 = r * np.exp(1j * rng.uniform(0, 2 * np.pi, r.size))
+    for tau2 in (t2, t2.real, -t2.real):
+        for t1_arr, tau2_arr in ((t1[:, None], tau2[None, :]), (t1[:200], tau2)):
+            got = (*c12(t1_arr, tau2_arr), *c3_parts(t1_arr, tau2_arr))
+            assert all(map(same_bits, got, term_by_term_map(t1_arr, tau2_arr)))
+            assert same_bits(mag_squared(tau2_arr), tau2_arr.real ** 2 + tau2_arr.imag ** 2)
+        for t, z in zip(t1[::7].tolist(), tau2.tolist()):
+            got = (*c12(t, z), *c3_parts(t, z))
+            assert all(map(same_bits, got, term_by_term_map(t, z))), (t, z)
+            assert same_bits(mag_squared(z), z.real * z.real + z.imag * z.imag), z
+
+
+def test_mag_squared_is_exact_on_rationals():
+    for x, want in ((3, 9), (-3, 9), (True, 1), (F(-5, 7), F(25, 49)), (HUGE, 10**800),
+                    (F(HUGE, 3), F(10**800, 9))):
+        got = mag_squared(x)
+        assert got == want and type(got) is type(want), x
 
 
 def test_range_check_100k_samples():

@@ -272,6 +272,27 @@ def test_huge_exact_input_exits_two(capsys, argv):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("text, cause", [
+    ("1/0", "zero denominator in '1/0'"),
+    ("sqrt(-1)", "sqrt of a negative value in 'sqrt(-1)'"),
+    (SQRT_HUGE, "sqrt of a value past the float range in 'sqrt(1000"),
+    ("sqrt(" * DEEP + HUGE + ")" * DEEP, "sqrt of a value past the float range in 'sqrt(sqrt("),
+], ids=["zero-denominator", "sqrt-negative", "sqrt-huge", "deep-sqrt-huge"])
+def test_eval_names_why_a_constant_is_refused(capsys, text, cause):
+    # the reason parse_expr gives survives the decimal fallback, and the
+    # argument it echoes is cut short
+    code, out, err = run(capsys, "eval", "gamma1", "--c", text)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {cause}") and len(err) < 120
+
+
+def test_parse_number_outside_the_grammar_gives_the_hint():
+    with pytest.raises(ValueError, match="cannot parse 'abc'; use an integer"):
+        parse_number("abc")
+    with pytest.raises(ValueError, match=r"cannot parse '1{40}'\.\.\.; use an integer"):
+        parse_number("1" * 40 + "x" * 400)
+
+
 def test_deeply_nested_sqrt_parses(capsys):
     # the sqrt( layers are read in a loop: any depth is a number
     deep = "sqrt(" * DEEP + "4" + ")" * DEEP

@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -19,17 +20,14 @@ from coeffsharp.functionals import (
     FUNCTIONAL_NAMES,
     FunctionalValue,
     evaluate_functional,
-    gamma_from_a,
     hankel_log,
     hankel_log_inverse,
-    inverse_from_a,
     moduli_diff_Gamma,
     moduli_diff_gamma,
-    taylor_from_c,
 )
 from coeffsharp.series_engine import compose, series, series_div, starlike_from_schwarz
 
-from case_profiles import HANKEL_TAU, hankel_tau
+from case_profiles import HANKEL_TAU, gamma_from_a, hankel_tau, inverse_from_a, taylor_from_c
 
 F1_COEFFS = SchwarzCoeffs(F(2), F(2), F(2))   # half-plane point
 F2_COEFFS = SchwarzCoeffs(F(0), F(2), F(0))   # z^2 point
@@ -161,6 +159,40 @@ def test_hankel_inverse_tau_case_values():
     got = on_point("H21_log_inverse", math.sqrt(2 / 11), 1.0, 1.0)
     assert abs(got) == pytest.approx(3 / 44, abs=1e-15)
     assert on_point("H21_log_inverse", F(0), F(0), F(1)) == 0
+
+
+# Alon's Combinatorial Nullstellensatz (1999): a polynomial of degree at most
+# 4 in c1, 2 in c2 and 1 in c3 that vanishes on a grid of 5 x 3 x 2 points is
+# zero.  Every direct form and its value through the a -> gamma chain obey
+# those degrees, so exact equality on the grid proves them equal as polynomials.
+C1_GRID = (F(-2), F(-1), F(0), F(1, 3), F(2))
+C2_GRID = (F(-1), F(0), F(3, 2))
+C3_GRID = (F(-1, 2), F(2))
+
+
+def inverse_gamma3(c):
+    """Gamma3 of the inverse written out in c1..c3; no functional reads it alone."""
+    return -9 * c.c1 ** 3 / 64 + 11 * c.c1 * c.c2 / 48 - c.c3 / 12
+
+
+def test_direct_forms_equal_the_chain_on_a_nullstellensatz_grid():
+    for c in itertools.starmap(SchwarzCoeffs, itertools.product(C1_GRID, C2_GRID, C3_GRID)):
+        a = taylor_from_c(c)
+        g, inv = gamma_from_a(a), inverse_from_a(a)
+        via_chain = {
+            "gamma1": g.gamma1, "gamma2": g.gamma2, "gamma3": g.gamma3,
+            "Gamma1": inv.Gamma1, "Gamma2": inv.Gamma2,
+            "H21_log": g.gamma1 * g.gamma3 - g.gamma2 ** 2,
+            "H21_log_inverse": inv.Gamma1 * inv.Gamma3 - inv.Gamma2 ** 2,
+            # not polynomials, but built from the gamma forms proved here
+            "diff_gamma": abs(g.gamma2) - abs(g.gamma1),
+            "diff_Gamma": abs(inv.Gamma2) - abs(inv.Gamma1),
+        }
+        assert via_chain.keys() == set(FUNCTIONAL_NAMES)
+        for name, want in via_chain.items():
+            got = evaluate_functional(name, c).value
+            assert type(got) is F and got == want, (name, c)
+        assert inverse_gamma3(c) == inv.Gamma3, c
 
 
 def test_route_equivalence_gamma_products_rational():

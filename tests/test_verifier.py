@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from coeffsharp import verifier
+from coeffsharp import caratheodory, verifier
 from coeffsharp.caratheodory import CaratheodoryPoint, c3_parts, c12, coeffs_from_point
 from coeffsharp.functionals import _FUNCTIONALS, evaluate_functional
 from coeffsharp.lemmas import form_max, form_tau3
@@ -242,6 +242,40 @@ def test_theorems_keep_only_their_nonzero_rows(theorem_id):
     assert not three or any(C) or any(W)
     kept = [A, B, *((C, W) if three else ()), *offset[:1]]
     assert th._rows.tolist() == [[float(c) for c in p] for p in kept]
+
+
+ZERO = ("0",) * 5
+#: (A, B, C, W) of every functional the theorems read, each highest degree
+#: first, recorded from the derivation through the a -> gamma chain with every
+#: point mapped afresh for each functional
+RECORDED_TAU1_POLYNOMIALS = {
+    "gamma1": (("0", "0", "0", "1/2", "0"), ZERO, ZERO, ZERO),
+    "gamma2": (("0", "0", "1/8", "0", "0"), ("0", "0", "-1/4", "0", "1/4"), ZERO, ZERO),
+    "gamma3": (ZERO, ("0", "-1/6", "0", "1/6", "0"), ("0", "1/6", "0", "-1/6", "0"),
+               ("0", "0", "-1/6", "0", "1/6")),
+    "Gamma1": (("0", "0", "0", "-1/2", "0"), ZERO, ZERO, ZERO),
+    "Gamma2": (("0", "0", "3/8", "0", "0"), ("0", "0", "1/4", "0", "-1/4"), ZERO, ZERO),
+    "H21_log": (("-1/64", "0", "0", "0", "0"), ("-1/48", "0", "1/48", "0", "0"),
+                ("1/48", "0", "1/24", "0", "-1/16"), ("0", "-1/12", "0", "1/12", "0")),
+    "H21_log_inverse": (("3/64", "0", "0", "0", "0"), ("5/48", "0", "-5/48", "0", "0"),
+                        ("1/48", "0", "1/24", "0", "-1/16"), ("0", "-1/12", "0", "1/12", "0")),
+}
+
+
+def test_tau1_polynomials_are_the_recorded_fractions(monkeypatch):
+    read = {th.modulus for th in THEOREMS.values()} | {th.offset for th in THEOREMS.values()}
+    assert read - {None} == RECORDED_TAU1_POLYNOMIALS.keys()
+    calls = []
+    map_c3 = caratheodory.c3_parts
+    monkeypatch.setattr(caratheodory, "c3_parts", lambda *a: calls.append(a) or map_c3(*a))
+    _tau1_polynomials.cache_clear()
+    verifier._derivation_point.cache_clear()
+    for name, want in RECORDED_TAU1_POLYNOMIALS.items():
+        got = _tau1_polynomials(name)
+        assert all(type(c) is F for p in got for c in p), name
+        assert got == tuple(tuple(F(c) for c in p) for p in want), name
+    # 6 tau1 nodes x 4 (tau2, tau3) pairs and one check point, each mapped once
+    assert len(calls) == 25
 
 
 @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
