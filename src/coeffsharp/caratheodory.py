@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Number, Rational
 
+from .exprs import _shown
 from .series_engine import TruncatedSeries, series, series_div
 
 TAU_BOUNDARY_TOL = 1e-12  # absorbs float rounding on |tau| = 1 only
@@ -68,13 +69,13 @@ class CaratheodoryPoint:
         if isinstance(t1, complex) or not isinstance(t1, Number):
             raise ValueError("tau1 must be real")
         if not 0 <= t1 <= 1:
-            raise ValueError(f"tau1 must lie in [0, 1], got {t1}")
+            raise ValueError(f"tau1 must lie in [0, 1], got {_shown(t1)}")
         for name in ("tau2", "tau3"):
             val = getattr(self, name)
             if not isinstance(val, Number):
                 raise ValueError(f"{name} must be a number")
             if not _mag_within(val, _TAU_BOUND_SQ):
-                raise ValueError(f"|{name}| must be <= 1, got {val!r}")
+                raise ValueError(f"|{name}| must be <= 1, got {_shown(val)}")
 
 
 @dataclass(frozen=True)
@@ -97,9 +98,9 @@ class SchwarzCoeffs:
             if not isinstance(val, Number):
                 raise ValueError(f"{name} must be a number")
             if not isinstance(val, Rational) and not cmath.isfinite(val):
-                raise ValueError(f"{name} must be finite, got {val!r}")
+                raise ValueError(f"{name} must be finite, got {_shown(val)}")
             if not _mag_within(val, _COEFF_BOUND_SQ):
-                raise ValueError(f"|{name}| must be <= 2, got {val!r}")
+                raise ValueError(f"|{name}| must be <= 2, got {_shown(val)}")
 
 
 def c12(t1, tau2):

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .caratheodory import CaratheodoryPoint, SchwarzCoeffs
-from .exprs import parse_number
+from .exprs import _NotInGrammar, parse_number
 from .functionals import FUNCTIONAL_NAMES, evaluate_functional
 from .lemmas import (
     PsiInput,
@@ -51,14 +51,18 @@ class _ArgumentParser(argparse.ArgumentParser):
     """Reads every token of the number grammar as a value, never as an option.
 
     argparse alone takes a token starting with ``-`` for an option unless it
-    is a plain negative decimal, so it refused ``--tau 1/2 -1/4 0``.
+    is a plain negative decimal, so it refused ``--tau 1/2 -1/4 0``.  A token
+    of the grammar whose value is refused, such as ``-1/0``, is a value too:
+    the command then names the cause.
     """
 
     def _parse_optional(self, arg_string):
         try:
             parse_number(arg_string)
-        except ValueError:
+        except _NotInGrammar:
             return super()._parse_optional(arg_string)
+        except ValueError:
+            pass
         return None  # a value
 
 

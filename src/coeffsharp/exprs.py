@@ -23,13 +23,16 @@ __all__ = ["parse_expr", "parse_number"]
 _SHOWN = 40
 
 
-def _shown(text: str) -> str:
-    """``repr`` of text, cut after its first ``_SHOWN`` characters."""
+def _shown(value) -> str:
+    """``repr`` of the text of a value, cut after its first ``_SHOWN`` characters."""
+    text = str(value)
     return repr(text) if len(text) <= _SHOWN else f"{text[:_SHOWN]!r}..."
 
 
 class _NotInGrammar(ValueError):
-    """Text outside the exact grammar; it may still be a decimal."""
+    """Text outside the grammar of the parser that raised it: the exact forms
+    of :func:`parse_expr` (such text may still be a decimal), or those and
+    the decimals of :func:`parse_number`."""
 
 
 def parse_expr(text: str):
@@ -69,6 +72,7 @@ def parse_number(text: str):
     Text of the exact grammar whose value is refused (a zero denominator, or
     the sqrt of a negative value or of one past the float range) is never a
     decimal either: its error keeps the reason :func:`parse_expr` gave.
+    Only text outside both grammars raises ``_NotInGrammar``.
     """
     try:
         return parse_expr(text)
@@ -77,5 +81,5 @@ def parse_number(text: str):
     try:
         return float(text)
     except ValueError:
-        raise ValueError(f"cannot parse {_shown(text)}; use an integer, a ratio like 2/3, "
+        raise _NotInGrammar(f"cannot parse {_shown(text)}; use an integer, a ratio like 2/3, "
                          "sqrt(...), or a decimal") from None

@@ -11,19 +11,24 @@ when two orders meet).  A series is homogeneous in one scalar mode:
 Series of different modes never combine.  All values are immutable; every
 operation is a pure function.
 
-The extremal functions are built by :func:`starlike_from_schwarz`, whose cost
-is three :func:`exp_series` recurrences, and the final factor ``z`` is a
-shift of coefficients, not a series product.  The extremal function driven
-by ``omega = z**n`` is zero outside the degrees ``1 + j n``, and the series
-its recurrences exponentiate outside the multiples of ``n``.  So each
-recurrence forms its nonzero weights ``j a_j`` once and sums only the terms
-whose two factors are both nonzero, in the order of the plain recurrence.
-In rational mode it sums them over the integers: each term is a product of
-numerators over a product of denominators, the terms are put over the lcm
-``L`` of those products, and the coefficient is the one ``Fraction`` of
-their integer sum over ``L k``, reduced once instead of after every
-``Fraction`` product, sum and quotient.  The results are those of the plain
-recurrence, bit for bit:
+The extremal functions are built by :func:`starlike_from_schwarz`, and the
+final factor ``z`` is a shift of coefficients, not a series product.  In
+rational mode the cost is two recurrences: a coupled one gives ``cosh
+omega`` together with ``sinh omega`` (:func:`_cosh_sinh_rational`), and one
+exponential takes the integrand's coefficients ``g_j = omega_j + C_j`` as its
+weights, since the antiderivative would divide ``g_j`` by ``j`` only for the
+exponential to multiply it by ``j`` again.  Complex mode runs three
+:func:`exp_series` recurrences, two of them for ``cosh``.  The extremal
+function driven by ``omega = z**n`` is zero outside the degrees ``1 + j n``,
+and the series its recurrences run on outside the multiples of ``n``.  So
+each recurrence forms its nonzero weights once and sums only the terms whose
+two factors are both nonzero, in the order of the plain recurrence.  In
+rational mode one kernel (:func:`_convolution_over_k`) sums them over the
+integers: each term is a product of numerators over a product of
+denominators, the terms are put over the lcm ``L`` of those products, and
+the coefficient is the one ``Fraction`` of their integer sum over ``L k``,
+reduced once instead of after every ``Fraction`` product, sum and quotient.
+The results are those of the plain recurrence, bit for bit:
 
 * in rational mode the arithmetic is exact, so a zero term changes nothing,
   and a reduced ``Fraction`` is canonical: the same value has the same
@@ -48,6 +53,7 @@ from numbers import Number, Rational
 
 RATIONAL = "rational"
 COMPLEX = "complex"
+_ZERO = Fraction(0)  # every zero coefficient the rational recurrences form
 
 __all__ = [
     "RATIONAL",
@@ -270,26 +276,38 @@ def exp_series(a: TruncatedSeries) -> TruncatedSeries:
 
 def _exp_rational(terms: list, order: int) -> tuple:
     """``e_0 .. e_order`` of :func:`exp_series` for the nonzero rational weights
-    ``terms``, a list of ``(j, j a_j)``: with the numerators and denominators
-    kept as integers, ``e_k = Fraction(sum(n * (L // d)), L k)`` over the
-    terms ``n / d`` of ``k e_k`` and their denominators' lcm ``L``."""
+    ``terms``, a list of ``(j, j a_j)``."""
     weights = [(j, w.numerator, w.denominator) for j, w in terms]
     nums, dens, out = [1], [1], [Fraction(1)]
     for k in range(1, order + 1):
-        ns, ds = [], []
-        for j, wn, wd in weights:
-            if j > k:
-                break
-            en = nums[k - j]
-            if en:
-                ns.append(wn * en)
-                ds.append(wd * dens[k - j])
-        lcm = math.lcm(*ds)
-        e = Fraction(sum([n * (lcm // d) for n, d in zip(ns, ds)]), lcm * k)
+        e = _convolution_over_k(weights, nums, dens, k)
         out.append(e)
         nums.append(e.numerator)
         dens.append(e.denominator)
     return tuple(out)
+
+
+def _convolution_over_k(weights: list, nums: list, dens: list, k: int) -> Fraction:
+    """``(sum_{j=1..k} w_j y_{k-j}) / k`` as one reduced ``Fraction``.
+
+    ``weights`` lists the nonzero ``(j, numerator, denominator)`` of ``w`` in
+    increasing ``j``; ``nums`` and ``dens`` hold those of ``y_0 .. y_{k-1}``.
+    The terms whose ``y`` factor is zero are skipped; the others, ``n / d``
+    each, are summed as integers over the lcm ``L`` of their denominators:
+    ``Fraction(sum(n * (L // d)), L k)``.
+    """
+    ns, ds = [], []
+    for j, wn, wd in weights:
+        if j > k:
+            break
+        yn = nums[k - j]
+        if yn:
+            ns.append(wn * yn)
+            ds.append(wd * dens[k - j])
+    if not ds:
+        return _ZERO
+    lcm = math.lcm(*ds)
+    return Fraction(sum([n * (lcm // d) for n, d in zip(ns, ds)]), lcm * k)
 
 
 def log_series(a: TruncatedSeries) -> TruncatedSeries:
@@ -307,11 +325,38 @@ def log_series(a: TruncatedSeries) -> TruncatedSeries:
 
 
 def cosh_series(a: TruncatedSeries) -> TruncatedSeries:
-    """``(exp(a) + exp(-a)) / 2`` for a series with zero constant term."""
+    """``cosh(a)`` for a series with zero constant term.
+
+    Rational mode solves ``C' = a' S``, ``S' = a' C`` for ``C = cosh a`` and
+    ``S = sinh a`` (:func:`_cosh_sinh_rational`); complex mode computes
+    ``(exp(a) + exp(-a)) / 2``.
+    """
     if a.coeffs[0] != 0:
         raise ValueError("cosh_series requires a zero constant term")
-    half = Fraction(1, 2) if a.mode == RATIONAL else 0.5
-    return (exp_series(a) + exp_series(-a)) * half
+    if a.mode == RATIONAL:
+        return TruncatedSeries(_cosh_sinh_rational(a.coeffs, a.order)[0], RATIONAL)
+    return (exp_series(a) + exp_series(-a)) * 0.5
+
+
+def _cosh_sinh_rational(a: tuple, order: int) -> tuple:
+    """``(C, S)``, the coefficients ``0 .. order`` of ``cosh a`` and ``sinh a``
+    for rational ``a`` with ``a_0 = 0``: ``k C_k = sum_j (j a_j) S_{k-j}`` and
+    ``k S_k = sum_j (j a_j) C_{k-j}`` from ``C_0 = 1``, ``S_0 = 0`` (Brent and
+    Kung, JACM 1978).  As zero terms are skipped, a ``C`` and ``S`` of
+    disjoint supports, as for ``a = z**n``, cost one sum per degree."""
+    weights = [(j, j * c.numerator, c.denominator) for j, c in enumerate(a[: order + 1]) if c]
+    cn, cd, sn, sd = [1], [1], [0], [1]
+    cosh, sinh = [Fraction(1)], [_ZERO]
+    for k in range(1, order + 1):
+        c = _convolution_over_k(weights, sn, sd, k)
+        s = _convolution_over_k(weights, cn, cd, k)
+        cosh.append(c)
+        sinh.append(s)
+        cn.append(c.numerator)
+        cd.append(c.denominator)
+        sn.append(s.numerator)
+        sd.append(s.denominator)
+    return tuple(cosh), tuple(sinh)
 
 
 def antiderivative_over_t(a: TruncatedSeries) -> TruncatedSeries:
@@ -352,12 +397,6 @@ def series_div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(tuple(out), a.mode)
 
 
-def _growth_integrand(omega: TruncatedSeries) -> TruncatedSeries:
-    # omega + cosh(omega) - 1: the driver of the logarithmic derivative,
-    # shifted so the constant term vanishes.
-    return omega + cosh_series(omega) - 1
-
-
 def starlike_from_schwarz(omega: TruncatedSeries, order: int) -> TruncatedSeries:
     """Solve ``z f'(z)/f(z) = omega(z) + cosh(omega(z))`` for ``f``.
 
@@ -365,12 +404,27 @@ def starlike_from_schwarz(omega: TruncatedSeries, order: int) -> TruncatedSeries
     truncated at ``order``.  ``omega`` is treated as a polynomial: missing
     high-degree coefficients count as zero.  The factor ``z`` is a shift of
     the exponential's coefficients by one degree, not a series product.
+
+    In rational mode the integrand's coefficients ``g_j = omega_j + C_j`` are
+    the weights ``j a_j`` of the exponential of its antiderivative ``a``, so
+    :func:`_exp_rational` takes them as they are; after the shift it need
+    not go past ``e_{order-1}``.
     """
     if omega.coeffs[0] != 0:
         raise ValueError("a Schwarz series must vanish at 0")
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    if omega.mode == RATIONAL:
+        om = omega.coeffs[:order]  # the higher ones never reach e_{order-1}
+        g = list(_cosh_sinh_rational(om, order - 1)[0])
+        for j, w in enumerate(om):
+            if w:
+                g[j] += w
+        e = _exp_rational([(j, x) for j, x in enumerate(g) if j and x], order - 1)
+        return TruncatedSeries((_ZERO,) + e[:order], RATIONAL)  # at order 0 no e_k is kept
     om = omega.extended(order) if omega.order < order else omega.truncate(order)
-    e = exp_series(antiderivative_over_t(_growth_integrand(om)))
-    return TruncatedSeries((_coerce(0, om.mode),) + e.coeffs[:-1], om.mode)
+    e = exp_series(antiderivative_over_t(om + cosh_series(om) - 1))
+    return TruncatedSeries((0j,) + e.coeffs[:-1], COMPLEX)
 
 
 def extremal_function(n: int, order: int) -> TruncatedSeries:

@@ -274,16 +274,34 @@ def test_huge_exact_input_exits_two(capsys, argv):
 
 @pytest.mark.parametrize("text, cause", [
     ("1/0", "zero denominator in '1/0'"),
+    ("-1/0", "zero denominator in '-1/0'"),
     ("sqrt(-1)", "sqrt of a negative value in 'sqrt(-1)'"),
+    ("-sqrt(-1)", "sqrt of a negative value in '-sqrt(-1)'"),
     (SQRT_HUGE, "sqrt of a value past the float range in 'sqrt(1000"),
     ("sqrt(" * DEEP + HUGE + ")" * DEEP, "sqrt of a value past the float range in 'sqrt(sqrt("),
-], ids=["zero-denominator", "sqrt-negative", "sqrt-huge", "deep-sqrt-huge"])
+], ids=["zero-denominator", "negative-zero-denominator", "sqrt-negative",
+        "negative-sqrt-negative", "sqrt-huge", "deep-sqrt-huge"])
 def test_eval_names_why_a_constant_is_refused(capsys, text, cause):
     # the reason parse_expr gives survives the decimal fallback, and the
-    # argument it echoes is cut short
+    # argument it echoes is cut short; a refused value with a leading minus
+    # is still a value, not an option
     code, out, err = run(capsys, "eval", "gamma1", "--c", text)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {cause}") and len(err) < 120
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (("--c", HUGE), "|c1| must be <= 2, got '1000"),
+    (("--c", "0", f"-{HUGE}"), "|c2| must be <= 2, got '-1000"),
+    (("--tau", "0", HUGE, "0"), "|tau2| must be <= 1, got '1000"),
+    (("--tau", "0", "0", f"{HUGE}/3"), "|tau3| must be <= 1, got '1000"),
+    (("--tau", HUGE, "0", "0"), "tau1 must lie in [0, 1], got '1000"),
+], ids=["c1", "c2", "tau2", "tau3", "tau1"])
+def test_eval_cuts_an_oversized_argument_out_of_range(capsys, argv, cause):
+    code, out, err = run(capsys, "eval", "gamma1", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {cause}") and err.rstrip().endswith("'...")
+    assert len(err) < 120
 
 
 def test_parse_number_outside_the_grammar_gives_the_hint():

@@ -15,7 +15,7 @@ from coeffsharp.series_engine import (
     RATIONAL,
     TruncatedSeries,
     _coerce,
-    _growth_integrand,
+    _cosh_sinh_rational,
     antiderivative_over_t,
     compose,
     cosh_series,
@@ -321,10 +321,17 @@ def dense_exp_series(a):
     return TruncatedSeries(tuple(out), a.mode)
 
 
+def dense_cosh_series(a):
+    """cosh(a) as (exp(a) + exp(-a))/2 by the plain recurrence."""
+    half = F(1, 2) if a.mode == RATIONAL else 0.5
+    return (dense_exp_series(a) + dense_exp_series(-a)) * half
+
+
 def dense_starlike(omega, order):
-    """z * exp(...) as the dense series product of monomial(1) and the exponential."""
+    """z * exp(...) as the dense series product of monomial(1) and the exponential
+    of the antiderivative of the integrand, built with the dense cosh."""
     om = omega.extended(order) if omega.order < order else omega.truncate(order)
-    s = antiderivative_over_t(_growth_integrand(om))
+    s = antiderivative_over_t(om + dense_cosh_series(om) - 1)
     return monomial(1, order, mode=om.mode) * dense_exp_series(s)
 
 
@@ -437,6 +444,36 @@ def test_starlike_shift_matches_the_dense_product(mode):
             order, density, om)
 
 
+@pytest.mark.parametrize("mode", [RATIONAL, COMPLEX])
+def test_cosh_and_starlike_match_the_dense_cosh(mode):
+    # rational mode runs the coupled cosh/sinh recurrence and feeds the
+    # integrand to the exponential as its weights; complex mode keeps two
+    # exponentials for cosh and the antiderivative
+    rng = random.Random(11)
+    drivers = [seeded_driver(rng, order, mode, DENSITIES[order % 3]) for order in range(65)]
+    drivers += edge_drivers(mode)
+    if mode == RATIONAL:
+        drivers += [wide_driver(rng, order) for order in range(65)]
+    for a in drivers:
+        assert exp_outcome(cosh_series, a) == exp_outcome(dense_cosh_series, a), a
+    for i, a in enumerate(drivers[::4]):
+        order = 1 + (i * 7) % 40
+        om = a.truncate(min(a.order, 3))
+        assert exp_outcome(lambda w: starlike_from_schwarz(w, order), om) == exp_outcome(
+            lambda w: dense_starlike(w, order), om), (order, om)
+
+
+def test_cosh_sinh_recurrence_identities_at_order_64():
+    rng = random.Random(13)
+    one = series([1], order=64).coeffs
+    for a in [wide_driver(rng, 64) for _ in range(3)] + [seeded_driver(rng, 64, RATIONAL, 1.0),
+                                                         monomial(1, 64), monomial(3, 64)]:
+        cosh, sinh = (series(c) for c in _cosh_sinh_rational(a.coeffs, 64))
+        assert (cosh * cosh - sinh * sinh).coeffs == one
+        assert cosh.coeffs == cosh_series(a).coeffs
+        assert sinh.coeffs == ((dense_exp_series(a) - dense_exp_series(-a)) * F(1, 2)).coeffs
+
+
 @pytest.mark.parametrize("order", [8, 32, 64])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_extremal_function_matches_the_dense_forms(n, order):
@@ -450,5 +487,5 @@ def test_extremal_log_coefficients_by_integration(n):
     # through log_series that shares neither the exponential nor the shift
     f = extremal_function(n, 64)
     m = monomial(n, 64)
-    want = antiderivative_over_t(_growth_integrand(m)).truncate(63)
+    want = antiderivative_over_t(m + dense_cosh_series(m) - 1).truncate(63)
     assert log_series(divide_by_z(f)).coeffs == want.coeffs
