@@ -41,7 +41,7 @@ def tau1_argmax(profile, count: int, rounds: int = 0, shrink: float = 0.35):
             half = shrink ** k / 2.0
             grid = _window(max(t1 - half, 0.0), min(t1 + half, 1.0), steps, t1)
         vals = profile(grid)
-        i = int(np.argmax(vals))
+        i = int(vals.argmax())
         evals += grid.size
         if k == 0 or vals[i] > value:
             value, t1 = float(vals[i]), float(grid[i])
@@ -53,16 +53,18 @@ def _window(lo: float, hi: float, steps: np.ndarray, t1: float) -> np.ndarray:
     the incumbent ``t1``, which stays a grid member so a round never loses it.
 
     The points are formed as numpy forms them, ``steps * step + lo`` with the
-    last set to ``hi``, without linspace's call overhead.  A step of a few
-    ulps can round neighbours onto one float, and numpy forms a zero step
-    another way, so such a window takes linspace itself and dedupes.
+    last set to ``hi``, without linspace's call overhead; ``lo`` is added in
+    place, the same operation on the same values.  A step of a few ulps can
+    round neighbours onto one float, and numpy forms a zero step another
+    way, so such a window takes linspace itself and dedupes.
     """
     step = (hi - lo) / (steps.size - 1)
     if step <= 4.0 * math.ulp(hi):
         return np.unique(np.concatenate((np.linspace(lo, hi, steps.size), (t1,))))
-    grid = steps * step + lo
+    grid = steps * step
+    grid += lo
     grid[-1] = hi
-    i = int(np.searchsorted(grid, t1))
+    i = int(grid.searchsorted(t1))
     if i < grid.size and grid[i] == t1:
         return grid
     return np.concatenate((grid[:i], (t1,), grid[i:]))

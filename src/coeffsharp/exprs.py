@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 # one "sqrt(" layer with its optional minus
@@ -24,8 +25,18 @@ _SHOWN = 40
 
 
 def _shown(value) -> str:
-    """``repr`` of the text of a value, cut after its first ``_SHOWN`` characters."""
-    text = str(value)
+    """``repr`` of the text of a value, cut after its first ``_SHOWN`` characters.
+
+    An integer or ratio past the interpreter's limit on integer digits has no
+    text, and is described by the bit lengths of its terms instead.
+    """
+    try:
+        text = str(value)
+    except ValueError:  # the interpreter's limit on integer digits
+        num, den = value.numerator.bit_length(), value.denominator.bit_length()
+        if den == 1:
+            return f"an integer of {num} bits"
+        return f"a ratio of {num}-bit and {den}-bit integers"
     return repr(text) if len(text) <= _SHOWN else f"{text[:_SHOWN]!r}..."
 
 
@@ -50,10 +61,14 @@ def parse_expr(text: str):
     if not m or m.group(4).count(")") != len(signs):
         raise _NotInGrammar(f"cannot parse constant {_shown(text)}")
     sign, num, den, _ = m.groups()
-    den = int(den or 1)
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError:  # the interpreter's limit on integer digits
+        raise ValueError(f"integer with more than {sys.get_int_max_str_digits()} digits "
+                         f"in {_shown(text)}") from None
     if den == 0:
         raise ValueError(f"zero denominator in {_shown(text)}")
-    value = Fraction(int(num), den)
+    value = Fraction(num, den)
     value = -value if sign else value
     for sign in reversed(signs):  # from the innermost layer out
         if value < 0:

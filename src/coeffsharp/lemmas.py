@@ -299,20 +299,32 @@ def _y_radius_profile(A: float, B: float, C: float):
     :func:`_cos_quadratic`; on [-1, 1] its maximum is the better end,
     ``p0 + |p1| + p2``, unless the quadratic is concave with its vertex
     inside (``2 p2 < -|p1|``), where it is the vertex value
-    ``p0 - p1^2 / (4 p2)``.  That maximum is clamped at 0 (so that rounding
-    can never hand ``sqrt`` a negative value, nor a NaN win the argmax), goes
-    through ``sqrt``, is multiplied back by the power of two exactly and gets
-    ``1 - r^2``.
+    ``p0 - p1^2 / (4 p2)``.  The vertex is tested only when the normalized a
+    and c have opposite signs (the sign test of the closed form): otherwise
+    ``p2 = 4 a c r^2`` is >= 0 or -0.0 and the test never holds.  That
+    maximum is clamped at 0 (so that rounding can never hand ``sqrt`` a
+    negative value, nor a NaN win the argmax), goes through ``sqrt``, is
+    multiplied back by the power of two exactly and gets ``1 - r^2``, all in
+    place.
     """
     exponent, a, b, c = _pow2_normalized(A, B, C)
+    opposite = a < 0 < c or c < 0 < a
 
     def profile(r):
         p0, p1, p2 = _cos_quadratic(a, b, c, r)
         slope = np.abs(p1)
-        top = p0 + slope + p2
-        vertex = 2 * p2 < -slope
-        top[vertex] = p0[vertex] - p1[vertex] ** 2 / (4 * p2[vertex])
-        return np.ldexp(np.sqrt(np.maximum(top, 0.0)), exponent) + (1.0 - r * r)
+        top = p0 + slope
+        top += p2
+        if opposite:
+            vertex = 2 * p2 < -slope
+            if vertex.any():
+                top[vertex] = p0[vertex] - p1[vertex] ** 2 / (4 * p2[vertex])
+        np.maximum(top, 0.0, out=top)
+        np.sqrt(top, out=top)
+        if exponent:
+            np.ldexp(top, exponent, out=top)
+        top += 1.0 - r * r
+        return top
 
     return profile
 

@@ -2,6 +2,8 @@
 
 import ast
 import math
+import re
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -70,6 +72,21 @@ def test_huge_rationals_are_rejected_exactly():
     # huge numerators and denominators with a small value are fine
     CaratheodoryPoint(F(HUGE, HUGE + 1), F(-HUGE, HUGE + 1), F(1, HUGE))
     SchwarzCoeffs(F(2 * HUGE - 1, HUGE), F(1, HUGE), F(-2 * HUGE, HUGE))
+
+
+def test_rationals_past_the_digit_limit_are_rejected_by_their_size():
+    # no text can be formed for these, so the message gives their bit lengths
+    past = 10 ** sys.get_int_max_str_digits()
+    bits = past.bit_length()
+    for val, shown in ((past, f"an integer of {bits} bits"),
+                       (F(past, 3), f"a ratio of {bits}-bit and 2-bit integers"),
+                       (F(-past, 7), f"a ratio of {bits}-bit and 3-bit integers")):
+        with pytest.raises(ValueError, match=re.escape(f"|c1| must be <= 2, got {shown}")):
+            SchwarzCoeffs(val)
+        with pytest.raises(ValueError, match=re.escape(f"|tau2| must be <= 1, got {shown}")):
+            CaratheodoryPoint(0, val, 0)
+        with pytest.raises(ValueError, match=re.escape(f"tau1 must lie in [0, 1], got {shown}")):
+            CaratheodoryPoint(val, 0, 0)
 
 
 def test_rational_bounds_are_the_exact_values_of_the_float_bounds():

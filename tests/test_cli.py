@@ -250,6 +250,9 @@ def test_lemma_rejects_overflowing_results(capsys, argv):
 HUGE = "1" + "0" * 400  # an exact integer of 401 digits, past the float range
 SQRT_HUGE = f"sqrt({HUGE})"  # its square root is a float, but the integer is not
 DEEP = 3000  # sqrt( layers, far past the interpreter's recursion limit
+# an integer of more digits than the interpreter converts from text
+PAST_DIGITS = "1" + "0" * sys.get_int_max_str_digits()
+DIGITS_CAUSE = f"integer with more than {sys.get_int_max_str_digits()} digits in "
 
 
 @pytest.mark.parametrize("argv", [
@@ -279,8 +282,13 @@ def test_huge_exact_input_exits_two(capsys, argv):
     ("-sqrt(-1)", "sqrt of a negative value in '-sqrt(-1)'"),
     (SQRT_HUGE, "sqrt of a value past the float range in 'sqrt(1000"),
     ("sqrt(" * DEEP + HUGE + ")" * DEEP, "sqrt of a value past the float range in 'sqrt(sqrt("),
+    (PAST_DIGITS, DIGITS_CAUSE + "'1000"),
+    (f"-{PAST_DIGITS}/3", DIGITS_CAUSE + "'-1000"),
+    (f"3/{PAST_DIGITS}", DIGITS_CAUSE + "'3/1000"),
+    (f"sqrt({PAST_DIGITS})", DIGITS_CAUSE + "'sqrt(1000"),
 ], ids=["zero-denominator", "negative-zero-denominator", "sqrt-negative",
-        "negative-sqrt-negative", "sqrt-huge", "deep-sqrt-huge"])
+        "negative-sqrt-negative", "sqrt-huge", "deep-sqrt-huge", "past-digits",
+        "negative-past-digits-ratio", "past-digits-denominator", "sqrt-past-digits"])
 def test_eval_names_why_a_constant_is_refused(capsys, text, cause):
     # the reason parse_expr gives survives the decimal fallback, and the
     # argument it echoes is cut short; a refused value with a leading minus

@@ -31,6 +31,7 @@ from coeffsharp.lemmas import (
     _Y_SHRINK,
     _cos_quadratic,
     _lemma24_form,
+    _pow2_normalized,
     _y_radius_profile,
 )
 
@@ -251,6 +252,42 @@ def test_cos_quadratic_is_the_squared_modulus_exactly():
         im = b * r * y + c * r * r * (2 * x * y)
         p0, p1, p2 = _cos_quadratic(a, b, c, r)
         assert re * re + im * im == p0 + p1 * x + p2 * x * x, (a, b, c, r, t)
+
+
+def masked_y_radius_profile(A, B, C):
+    """The Y radius profile with the vertex mask built and applied on every
+    call, whatever the signs, and a new array per step: the reference for
+    :func:`_y_radius_profile`."""
+    exponent, a, b, c = _pow2_normalized(A, B, C)
+
+    def profile(r):
+        p0, p1, p2 = _cos_quadratic(a, b, c, r)
+        slope = np.abs(p1)
+        top = p0 + slope + p2
+        vertex = 2 * p2 < -slope
+        top[vertex] = p0[vertex] - p1[vertex] ** 2 / (4 * p2[vertex])
+        return np.ldexp(np.sqrt(np.maximum(top, 0.0)), exponent) + (1.0 - r * r)
+
+    return profile
+
+
+@pytest.mark.filterwarnings("error")
+def test_y_radius_profile_matches_the_masked_reference_bit_for_bit():
+    # over the sign grid and seeded inputs, on radii with 0, subnormals and 1:
+    # the sign test skips the vertex only where it can never be taken
+    rng = np.random.default_rng(23)
+    seeded = rng.choice((-1.0, 1.0), (400, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (400, 3))
+    radii = np.concatenate(([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-200],
+                            np.linspace(0.0, 1.0, 201), rng.random(64), [1.0]))
+    inputs = SIGN_GRID + [(yin.A, yin.B, yin.C) for yin, _, _ in BRANCH_EXEMPLARS]
+    vertex_inputs = 0
+    for A, B, C in inputs + seeded.tolist():
+        got = _y_radius_profile(A, B, C)(radii)
+        assert got.tobytes() == masked_y_radius_profile(A, B, C)(radii).tobytes(), (A, B, C)
+        _, a, b, c = _pow2_normalized(A, B, C)
+        _, p1, p2 = _cos_quadratic(a, b, c, radii)
+        vertex_inputs += bool((2 * p2 < -np.abs(p1)).any())
+    assert vertex_inputs > 200  # the reference's vertex branch is exercised
 
 
 @pytest.mark.filterwarnings("error")
