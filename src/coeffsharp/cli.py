@@ -252,7 +252,7 @@ def _cmd_eval(args, started) -> int:
 def _load_config(path: str | None) -> SearchConfig:
     if not path:
         return SearchConfig()
-    overrides = {}
+    overrides, set_on = {}, {}  # set_on: the line that set each key
     keys = {f.name for f in fields(SearchConfig)}  # every one an int
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -267,6 +267,9 @@ def _load_config(path: str | None) -> SearchConfig:
         key, _, val = (part.strip() for part in line.partition("="))
         if key not in keys:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in set_on:
+            raise UsageError(f"{path}:{lineno}: {key} is already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             overrides[key] = int(val)
         except ValueError:

@@ -10,11 +10,11 @@ bounds.  With ``c1 = 2 tau1`` real, each functional the bounds are about is
     A + B tau2 + C tau2^2 + W (1 - |tau2|^2) tau3
 
 with real polynomials A, B, C, W in tau1, derived once per functional from
-``evaluate_functional`` itself: its exact values on the points
-``CaratheodoryPoint(tau1, tau2, tau3)`` with tau2 in {0, 1, -1} and tau3 in
-{0, 1}, at five rational tau1 nodes, interpolated as ``Fraction``
-polynomials of degree <= 4 and checked at a sixth node.  tau3 and tau2 are
-then eliminated in closed form:
+its closed form itself, run on tau1 as an exact ``Fraction`` polynomial: the
+parameter map gives c1..c3 as polynomials in tau1 at tau2 in {0, 1, -1} and
+tau3 in {0, 1}, which fix A, B, C and W, and the point (1/2, 1/2) checks the
+form as an identity in tau1.  tau3 and tau2 are then eliminated in closed
+form:
 
 * with C = W = 0 (the two-parameter targets) the sup over the tau2 disk is
   ``|A| + |B|`` and the inf ``max(0, |A| - |B|)``;
@@ -40,13 +40,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
 from ._search import tau1_argmax
-from .caratheodory import CaratheodoryPoint, coeffs_from_point
-from .functionals import FunctionalValue, evaluate_functional
+from .caratheodory import CaratheodoryPoint, c3_parts, c12, coeffs_from_point
+from .functionals import _FUNCTIONALS, FunctionalValue, evaluate_functional
 from .lemmas import form_argmax, form_coefficients, form_max
 
 __all__ = [
@@ -82,6 +83,11 @@ REFINEMENT_ROUNDS_MAX = 64
 #: largest tau1 grid of a config: a scan holds a few arrays of that many
 #: points, so the cap bounds its memory
 TAU1_GRID_MAX = 100_000
+#: fewest columns of a theorem's rows, those of a quartic: a shorter row gets
+#: leading zeros, which change no bit on [0, 1].  Trimmed rows would scan the
+#: 2-parameter targets about a fifth faster; that waits until the benchmark's
+#: peak RSS stops growing with the number of passes it runs.
+ROW_WIDTH = 5
 
 
 @dataclass(frozen=True)
@@ -123,31 +129,16 @@ def _horner(coeffs, x):
     return value
 
 
-#: tau1 nodes of the interpolation (every coefficient has degree <= 4 in
-#: tau1), and the node that checks the degree bound
-_NODES = tuple(Fraction(k, 4) for k in range(5))
-_CHECK = Fraction(1, 3)
-
-
 @cache
-def _lagrange_basis(nodes: tuple) -> tuple:
-    """Coefficients, highest degree first, of the Lagrange basis polynomials
-    of the nodes: the i-th is 1 at node i and 0 at the others.  Computed once
-    and shared by every functional's derivation."""
-    basis = []
-    for i, xi in enumerate(nodes):
-        poly, denom = [Fraction(1)], Fraction(1)
-        for j, xj in enumerate(nodes):
-            if j != i:
-                poly = [a - xj * b for a, b in zip(poly + [0], [0] + poly)]
-                denom *= xi - xj
-        basis.append(tuple(c / denom for c in poly))
-    return tuple(basis)
+def _coeffs_on_tau1(tau2, tau3) -> SimpleNamespace:
+    """c1, c2, c3 at (tau1, tau2, tau3) as exact polynomials in tau1, for
+    rational tau2 and tau3; mapped once and shared by every functional."""
+    from numpy.polynomial import Polynomial  # only the derivation needs it
 
-
-#: the derivation's points, made once for every functional, so each keeps
-#: its coefficients and is mapped once
-_derivation_point = cache(CaratheodoryPoint)
+    t1 = Polynomial(np.array([Fraction(0), Fraction(1)], dtype=object))
+    c1, c2 = c12(t1, tau2)
+    head, w = c3_parts(t1, tau2)
+    return SimpleNamespace(c1=c1, c2=c2, c3=head + w * tau3)
 
 
 @cache
@@ -156,24 +147,20 @@ def _tau1_polynomials(name: str) -> tuple:
 
         name(tau1, tau2, tau3) = A + B tau2 + C tau2^2 + W (1 - |tau2|^2) tau3.
 
-    Derived from the functional itself, evaluated exactly on rational
-    points; a sixth node checks the degree bound and the point
-    (tau2, tau3) = (1/2, 1/2) the form in tau2 and tau3.
+    The functional's closed form runs on c1..c3 as polynomials in tau1, so
+    every coefficient is exact whatever its degree; the point (tau2, tau3) =
+    (1/2, 1/2) checks the form in tau2 and tau3, as an identity in tau1.
     """
-    def at(t1, tau2, tau3):
-        return evaluate_functional(name, _derivation_point(t1, tau2, tau3)).value
+    form = _FUNCTIONALS[name][1]
 
-    basis = _lagrange_basis(_NODES)
-    *at_nodes, at_check = (form_coefficients(partial(at, t)) for t in (*_NODES, _CHECK))
-    polys = tuple(tuple(sum(y * b[k] for y, b in zip(column, basis)) for k in range(len(_NODES)))
-                  for column in zip(*at_nodes))
-    A, B, C, W = (_horner(p, _CHECK) for p in polys)
+    def at(tau2, tau3):
+        return form(_coeffs_on_tau1(tau2, tau3))
+
+    A, B, C, W = form_coefficients(at)
     h = Fraction(1, 2)
-    if ((A, B, C, W) != at_check
-            or A + B * h + C * h * h + W * (1 - h * h) * h != at(_CHECK, h, h)):
-        raise ValueError(f"{name} is not A + B tau2 + C tau2^2 + W (1 - |tau2|^2) tau3 "
-                         "with coefficients of degree <= 4 in tau1")
-    return polys
+    if A + B * h + C * h * h + W * (1 - h * h) * h != at(h, h):
+        raise ValueError(f"{name} is not A + B tau2 + C tau2^2 + W (1 - |tau2|^2) tau3")
+    return tuple(tuple(p.coef[::-1].tolist()) for p in (A, B, C, W))
 
 
 @dataclass(frozen=True)
@@ -212,7 +199,8 @@ class Theorem:
             if any(any(p) for p in rest):
                 raise ValueError(f"{self.offset} depends on tau2 or tau3")
             rows.append(offset)
-        return np.array([[float(c) for c in p] for p in rows])
+        width = max(ROW_WIDTH, *map(len, rows))
+        return np.array([[0.0] * (width - len(p)) + [float(c) for c in p] for p in rows])
 
     def profile(self, t1) -> np.ndarray:
         """``sign`` times the extremum over (tau2, tau3) at each tau1: the

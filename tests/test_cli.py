@@ -464,6 +464,15 @@ def test_verify_bad_config(tmp_path, capsys):
         assert code == 2 and out == "" and "unknown config key" in err, line
 
 
+def test_verify_repeated_config_key_exits_two_naming_both_lines(tmp_path, capsys):
+    # a repeated key is refused, never settled silently by its last line
+    cfg = tmp_path / "search.cfg"
+    cfg.write_text("grid_tau1 = 13\n# coarser\ngrid_tau1 = 2\n")
+    code, out, err = run(capsys, "verify", "gamma1", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert f"{cfg}:3: grid_tau1 is already set on line 1" in err
+
+
 def test_verify_refinement_rounds_past_the_cap_exits_two(tmp_path, capsys):
     cfg = tmp_path / "search.cfg"
     cfg.write_text(f"refinement_rounds = {REFINEMENT_ROUNDS_MAX + 1}\n")

@@ -5,9 +5,11 @@ import dataclasses
 import itertools
 import math
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from coeffsharp import caratheodory
 from coeffsharp.caratheodory import (
@@ -238,16 +240,16 @@ def test_route_equivalence_tau_forms():
 
 
 def test_rotation_covariance_of_hankels():
-    rng = np.random.default_rng(14)
-    base = [random_coeffs(rng) for _ in range(10)]
-    for theta in rng.uniform(0, 2 * np.pi, 100):
-        w = cmath.exp(1j * theta)
-        for c in base[:1]:
-            rotated = SchwarzCoeffs(c.c1 * w, c.c2 * w ** 2, c.c3 * w ** 3)
-            assert cmath.isclose(hankel_log(rotated), w ** 4 * hankel_log(c), abs_tol=1e-12)
-            assert cmath.isclose(hankel_log_inverse(rotated),
-                                 w ** 4 * hankel_log_inverse(c), abs_tol=1e-12)
-            assert abs(abs(hankel_log(rotated)) - abs(hankel_log(c))) < 1e-12
+    # H(c1 w, c2 w^2, c3 w^3) = w^4 H(c), so |H| is invariant under rotation.
+    # With w a polynomial, each power of w carries a polynomial in c1..c3 of
+    # the degrees above, so equality on the Nullstellensatz grid proves it.
+    w = Polynomial(np.array([F(0), F(1)], dtype=object))
+    for c in itertools.starmap(SchwarzCoeffs, itertools.product(C1_GRID, C2_GRID, C3_GRID)):
+        rotated = SimpleNamespace(c1=c.c1 * w, c2=c.c2 * w ** 2, c3=c.c3 * w ** 3)
+        for hankel in (hankel_log, hankel_log_inverse):
+            got, want = hankel(rotated).coef.tolist(), (w ** 4 * hankel(c)).coef.tolist()
+            assert all(type(x) is F for x in got), (hankel.__name__, c)
+            assert got == want, (hankel.__name__, c)
 
 
 # --- moduli differences -------------------------------------------------------------------

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from coeffsharp import caratheodory, verifier
+from coeffsharp import verifier
 from coeffsharp.caratheodory import CaratheodoryPoint, c3_parts, c12, coeffs_from_point
 from coeffsharp.functionals import _FUNCTIONALS, evaluate_functional
 from coeffsharp.lemmas import form_max, form_tau3
@@ -240,42 +240,68 @@ def test_theorems_keep_only_their_nonzero_rows(theorem_id):
     zeros = [*offset[1:], *(() if three else (C, W))]
     assert all(type(c) is F and c == 0 for p in zeros for c in p)
     assert not three or any(C) or any(W)
+    # the kept rows, padded with leading zeros to one width
     kept = [A, B, *((C, W) if three else ()), *offset[:1]]
-    assert th._rows.tolist() == [[float(c) for c in p] for p in kept]
+    width = max(verifier.ROW_WIDTH, *map(len, kept))
+    assert th._rows.tolist() == [[0.0] * (width - len(p)) + [float(c) for c in p] for p in kept]
 
 
-ZERO = ("0",) * 5
 #: (A, B, C, W) of every functional the theorems read, each highest degree
 #: first, recorded from the derivation through the a -> gamma chain with every
 #: point mapped afresh for each functional
 RECORDED_TAU1_POLYNOMIALS = {
-    "gamma1": (("0", "0", "0", "1/2", "0"), ZERO, ZERO, ZERO),
-    "gamma2": (("0", "0", "1/8", "0", "0"), ("0", "0", "-1/4", "0", "1/4"), ZERO, ZERO),
-    "gamma3": (ZERO, ("0", "-1/6", "0", "1/6", "0"), ("0", "1/6", "0", "-1/6", "0"),
-               ("0", "0", "-1/6", "0", "1/6")),
-    "Gamma1": (("0", "0", "0", "-1/2", "0"), ZERO, ZERO, ZERO),
-    "Gamma2": (("0", "0", "3/8", "0", "0"), ("0", "0", "1/4", "0", "-1/4"), ZERO, ZERO),
+    "gamma1": (("1/2", "0"), ("0",), ("0",), ("0",)),
+    "gamma2": (("1/8", "0", "0"), ("-1/4", "0", "1/4"), ("0",), ("0",)),
+    "gamma3": (("0",), ("-1/6", "0", "1/6", "0"), ("1/6", "0", "-1/6", "0"),
+               ("-1/6", "0", "1/6")),
+    "Gamma1": (("-1/2", "0"), ("0",), ("0",), ("0",)),
+    "Gamma2": (("3/8", "0", "0"), ("1/4", "0", "-1/4"), ("0",), ("0",)),
     "H21_log": (("-1/64", "0", "0", "0", "0"), ("-1/48", "0", "1/48", "0", "0"),
-                ("1/48", "0", "1/24", "0", "-1/16"), ("0", "-1/12", "0", "1/12", "0")),
+                ("1/48", "0", "1/24", "0", "-1/16"), ("-1/12", "0", "1/12", "0")),
     "H21_log_inverse": (("3/64", "0", "0", "0", "0"), ("5/48", "0", "-5/48", "0", "0"),
-                        ("1/48", "0", "1/24", "0", "-1/16"), ("0", "-1/12", "0", "1/12", "0")),
+                        ("1/48", "0", "1/24", "0", "-1/16"), ("-1/12", "0", "1/12", "0")),
 }
 
 
-def test_tau1_polynomials_are_the_recorded_fractions(monkeypatch):
+@pytest.fixture
+def fresh_derivation():
+    """Clears the derivation's caches before and after a test, so a patched
+    closed form is derived afresh and leaves no trace."""
+    _tau1_polynomials.cache_clear()
+    verifier._coeffs_on_tau1.cache_clear()
+    yield
+    _tau1_polynomials.cache_clear()
+    verifier._coeffs_on_tau1.cache_clear()
+
+
+def test_tau1_polynomials_are_the_recorded_fractions(monkeypatch, fresh_derivation):
     read = {th.modulus for th in THEOREMS.values()} | {th.offset for th in THEOREMS.values()}
     assert read - {None} == RECORDED_TAU1_POLYNOMIALS.keys()
     calls = []
-    map_c3 = caratheodory.c3_parts
-    monkeypatch.setattr(caratheodory, "c3_parts", lambda *a: calls.append(a) or map_c3(*a))
-    _tau1_polynomials.cache_clear()
-    verifier._derivation_point.cache_clear()
+    map_c3 = verifier.c3_parts
+    monkeypatch.setattr(verifier, "c3_parts", lambda *a: calls.append(a) or map_c3(*a))
     for name, want in RECORDED_TAU1_POLYNOMIALS.items():
         got = _tau1_polynomials(name)
         assert all(type(c) is F for p in got for c in p), name
         assert got == tuple(tuple(F(c) for c in p) for p in want), name
-    # 6 tau1 nodes x 4 (tau2, tau3) pairs and one check point, each mapped once
-    assert len(calls) == 25
+    # the 4 (tau2, tau3) samples and the check point, each mapped once and
+    # shared by every functional
+    assert len(calls) == 5
+
+
+def test_tau1_polynomials_are_exact_past_degree_four(monkeypatch, fresh_derivation):
+    # c1 = 2 tau1, so c1^5 / 32 is tau1^5: no degree bound is assumed
+    monkeypatch.setitem(_FUNCTIONALS, "gamma1", (1, lambda c: c.c1 ** 5 / 32))
+    A, B, C, W = _tau1_polynomials("gamma1")
+    assert all(type(c) is F for p in (A, B, C, W) for c in p)
+    assert (A, B, C, W) == ((1, 0, 0, 0, 0, 0), (0,), (0,), (0,))
+
+
+def test_tau1_polynomials_refuse_a_form_outside_the_shape(monkeypatch, fresh_derivation):
+    # c3^2 is quadratic in tau3, so the check point (1/2, 1/2) tells it apart
+    monkeypatch.setitem(_FUNCTIONALS, "gamma3", (3, lambda c: c.c3 * c.c3))
+    with pytest.raises(ValueError, match=r"gamma3 is not A \+ B tau2"):
+        _tau1_polynomials("gamma3")
 
 
 @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
