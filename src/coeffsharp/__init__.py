@@ -6,61 +6,36 @@ algebra, evaluates every coefficient functional in closed form over the
 parametrized Caratheodory class, implements the auxiliary piecewise maximum
 lemmas next to brute-force oracles, and reproduces each sharp constant by a
 deterministic global grid search.
+
+Public names have one list each: the ``__all__`` of ``series_engine``,
+``caratheodory``, ``functionals``, ``lemmas`` and ``verifier``.  The package
+resolves ``coeffsharp.<name>`` from them, in that order, on first use, and a
+submodule name gives the submodule.  So importing the package imports no
+numpy; neither do the ``series`` and ``eval`` commands, which are exact
+rational work.  ``lemmas`` and ``verifier`` import numpy, and with them the
+``lemma`` and ``verify`` commands.
 """
+
+import importlib.util
 
 __version__ = "0.1.0"
 
-from .series_engine import (
-    COMPLEX,
-    RATIONAL,
-    TruncatedSeries,
-    antiderivative_over_t,
-    compose,
-    cosh_series,
-    divide_by_z,
-    exp_series,
-    extremal_function,
-    log_series,
-    monomial,
-    series,
-    series_div,
-    starlike_from_schwarz,
-)
-from .caratheodory import (
-    CaratheodoryPoint,
-    SchwarzCoeffs,
-    coeffs_from_point,
-    extremal_p_series,
-    schwarz_from_p,
-)
-from .functionals import (
-    FunctionalValue,
-    evaluate_functional,
-    hankel_log,
-    hankel_log_inverse,
-    moduli_diff_Gamma,
-    moduli_diff_gamma,
-)
-from .lemmas import (
-    PsiInput,
-    YInput,
-    lemma23_bound,
-    lemma23_empirical,
-    lemma24_check,
-    psi_empirical,
-    psi_minus_bound,
-    psi_plus_bound,
-    y_argmax,
-    y_branch,
-    y_brute_force,
-    y_closed_form,
-)
-from .verifier import (
-    THEOREM_IDS,
-    Bound,
-    SearchConfig,
-    VerificationReport,
-    sharpness_witness,
-    verify,
-    verify_all,
-)
+_MODULES = ("series_engine", "caratheodory", "functionals", "lemmas", "verifier")
+
+
+def _module(name: str):
+    return importlib.import_module(f"{__name__}.{name}")
+
+
+def __getattr__(name: str):
+    if name.isidentifier() and importlib.util.find_spec(f"{__name__}.{name}"):
+        return _module(name)
+    for module in map(_module, _MODULES):
+        if name in module.__all__:
+            value = globals()[name] = getattr(module, name)  # later lookups skip the hook
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *(name for m in _MODULES for name in _module(m).__all__)})

@@ -3,7 +3,8 @@
 Every command is deterministic given its arguments and config file.  JSON
 reports are written with a fixed layout so that re-reading and re-serializing
 a file is byte-identical.  Exit codes: 0 success / all passed, 1 verification
-failure, 2 usage or hypothesis error.
+failure, 2 usage or hypothesis error.  The lemma and verify handlers import
+``lemmas`` and ``verifier``, and with them numpy; series and eval load none.
 """
 
 from __future__ import annotations
@@ -20,21 +21,7 @@ from . import __version__
 from .caratheodory import CaratheodoryPoint, SchwarzCoeffs
 from .exprs import _NotInGrammar, parse_number
 from .functionals import FUNCTIONAL_NAMES, evaluate_functional
-from .lemmas import (
-    PsiInput,
-    YInput,
-    lemma23_bound,
-    lemma23_empirical,
-    lemma24_check,
-    psi_empirical,
-    psi_minus_bound,
-    psi_plus_bound,
-    y_branch,
-    y_brute_force,
-    y_closed_form,
-)
 from .series_engine import COMPLEX, cosh_series, extremal_function, monomial, series, starlike_from_schwarz
-from .verifier import THEOREM_IDS, SearchConfig, VerificationReport, verify
 
 SCHEMA_VERSION = 3
 
@@ -249,13 +236,15 @@ def _cmd_eval(args, started) -> int:
 
 # --- verify -------------------------------------------------------------------
 
-def _load_config(path: str | None) -> SearchConfig:
+def _load_config(path: str | None):
+    from .verifier import SearchConfig
+
     if not path:
         return SearchConfig()
     overrides, set_on = {}, {}  # set_on: the line that set each key
     keys = {f.name for f in fields(SearchConfig)}  # every one an int
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is no key
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -288,7 +277,7 @@ def _point_json(pt: CaratheodoryPoint) -> dict:
     }
 
 
-def _report_json(rep: VerificationReport) -> dict:
+def _report_json(rep) -> dict:
     return {
         "theorem": rep.theorem_id,
         "bound": {"expr": rep.bound.expr, "float": rep.bound.value,
@@ -312,6 +301,8 @@ def _print_report_table(reports) -> None:
 
 
 def _cmd_verify(args, started) -> int:
+    from .verifier import THEOREM_IDS, verify
+
     cfg = _load_config(args.config)
     if args.theorem == "all":
         ids = THEOREM_IDS
@@ -348,6 +339,20 @@ def _lemma_params(args, count: int, label: str):
 
 
 def _cmd_lemma(args, started) -> int:
+    from .lemmas import (
+        PsiInput,
+        YInput,
+        lemma23_bound,
+        lemma23_empirical,
+        lemma24_check,
+        psi_empirical,
+        psi_minus_bound,
+        psi_plus_bound,
+        y_branch,
+        y_brute_force,
+        y_closed_form,
+    )
+
     results: dict
     lines = []  # printed after the report file is written
     code = 0

@@ -64,6 +64,7 @@ __all__ = [
     "antiderivative_over_t",
     "compose",
     "cosh_series",
+    "divide_by_z",
     "exp_series",
     "extremal_function",
     "log_series",

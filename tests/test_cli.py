@@ -480,6 +480,30 @@ def test_verify_refinement_rounds_past_the_cap_exits_two(tmp_path, capsys):
     assert code == 2 and out == "" and "refinement_rounds" in err
 
 
+def test_verify_reads_a_config_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    # as Windows Notepad saves UTF-8; the mark is not part of the first key
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text("grid_tau1 = 13\n", encoding="utf-8")
+    marked.write_text("grid_tau1 = 13\n", encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    want = run(capsys, "verify", "gamma1", "--config", str(plain))
+    assert want[0] == 0
+    assert run(capsys, "verify", "gamma1", "--config", str(marked)) == want
+
+
+def test_verify_unreadable_config_exits_two(tmp_path, capsys):
+    code, out, err = run(capsys, "verify", "all", "--config", str(tmp_path))
+    assert code == 2 and out == "" and "cannot read config file" in err
+
+
+@pytest.mark.parametrize("key", ["grid_r", "grid_theta"])
+def test_verify_polar_grid_below_two_exits_two(tmp_path, capsys, key):
+    cfg = tmp_path / "search.cfg"
+    cfg.write_text(f"{key} = 1\n")
+    code, out, err = run(capsys, "verify", "all", "--config", str(cfg))
+    assert code == 2 and out == "" and f"{key} must be >= 2" in err
+
+
 # --- lemma ----------------------------------------------------------------------
 
 def test_lemma_y_with_oracle(tmp_path, capsys):
@@ -561,6 +585,26 @@ def test_lemma_l23(capsys):
 def test_lemma_l41_plus(capsys):
     code, out, _ = run(capsys, "lemma", "L41", "plus", "0.25", "-0.03125", "0.125")
     assert code == 0 and "bound: 0.25" in out
+
+
+@pytest.mark.parametrize("argv, lines, keys", [
+    (("L23", "--oracle", "1/4"),
+     ["bound: 2.0", "oracle: 2.0  |difference|: 0.000e+00"],
+     {"lemma", "inputs", "bound", "oracle", "discrepancy"}),
+    (("L24", "1/4", "0"),
+     ["empirical max: 2.0  <= 2 (pass)"],
+     {"lemma", "inputs", "empirical_max", "passed"}),
+    (("L41", "--oracle", "plus", "1/4", "-0.03125", "1/8"),
+     ["bound: 0.25", "oracle extreme: 0.25  |difference|: 0.000e+00"],
+     {"lemma", "side", "inputs", "bound", "oracle_min", "oracle_max", "discrepancy"}),
+], ids=["L23-oracle", "L24", "L41-oracle"])
+def test_lemma_readme_examples_print_and_report(tmp_path, capsys, argv, lines, keys):
+    path = tmp_path / "lemma.json"
+    code, out, err = run(capsys, "lemma", *argv, "--json", str(path))
+    assert (code, out.splitlines(), err) == (0, lines, "")
+    results = json.loads(path.read_text())["results"]
+    assert results.keys() == keys
+    assert results["lemma"] == argv[0]
 
 
 def test_lemma_l24_hypothesis_violation(capsys):

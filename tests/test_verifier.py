@@ -19,7 +19,9 @@ from coeffsharp.verifier import (
     TAU1_GRID_MAX,
     THEOREM_IDS,
     THEOREMS,
+    Bound,
     SearchConfig,
+    Theorem,
     _tau1_polynomials,
     sharpness_witness,
     verify,
@@ -244,6 +246,21 @@ def test_theorems_keep_only_their_nonzero_rows(theorem_id):
     kept = [A, B, *((C, W) if three else ()), *offset[:1]]
     width = max(verifier.ROW_WIDTH, *map(len, kept))
     assert th._rows.tolist() == [[0.0] * (width - len(p)) + [float(c) for c in p] for p in kept]
+
+
+def test_rows_refuse_an_infimum_over_a_three_parameter_form():
+    # only |A + B tau2| has a closed-form infimum; gamma3 keeps C and W
+    th = Theorem("gamma3_lower", "gamma3", Bound("0", 0.0, "min"), (F(0), F(0), F(0)), "gamma3")
+    with pytest.raises(ValueError, match=r"gamma3_lower: only \|A \+ B tau2\|"):
+        th._rows
+
+
+def test_rows_refuse_an_offset_that_depends_on_tau2():
+    # gamma2's B row is nonzero, so it cannot be subtracted as a function of tau1
+    th = Theorem("swapped", "diff_gamma", Bound("1/4", 0.25, "max"), (F(0), F(1), F(0)),
+                 "gamma1", "gamma2")
+    with pytest.raises(ValueError, match="gamma2 depends on tau2 or tau3"):
+        th._rows
 
 
 #: (A, B, C, W) of every functional the theorems read, each highest degree
