@@ -4,7 +4,9 @@ Every command is deterministic given its arguments and config file.  JSON
 reports are written with a fixed layout so that re-reading and re-serializing
 a file is byte-identical.  Exit codes: 0 success / all passed, 1 verification
 failure, 2 usage or hypothesis error.  The lemma and verify handlers import
-``lemmas`` and ``verifier``, and with them numpy; series and eval load none.
+``lemmas`` and ``verifier`` themselves.  numpy comes with ``verifier`` and with
+a lemma scan (an oracle, or the L24 check); series, eval and the other lemma
+closed forms load none.
 """
 
 from __future__ import annotations

@@ -14,7 +14,8 @@ Two families live here.
 
 Every oracle scans a fixed count of points and takes no count argument: it
 eliminates the angle, or tau2 and tau3, exactly, so a finer grid would move
-its answer by rounding at most.
+its answer by rounding at most.  numpy and the search are imported only
+where an oracle or ``form_max`` runs, so the closed forms load neither.
 
 Boundary ties in piecewise conditions resolve to the first listed branch;
 the branches agree at the seams (see the seam tests).
@@ -27,9 +28,6 @@ import math
 from dataclasses import dataclass
 from numbers import Rational
 
-import numpy as np
-
-from ._search import tau1_argmax
 from .caratheodory import c12, c3_parts
 
 _PSI_GRID, _PSI_ROUNDS, _PSI_SHRINK = 121, 10, 0.1  # psi_empirical's tau1 scans
@@ -264,6 +262,8 @@ def form_max(A, B, C, W) -> np.ndarray:
     closed bidisk, elementwise over real arrays: over tau3 it is ``|A + B tau2 +
     C tau2^2| + |W| (1 - |tau2|^2)``, and over tau2 ``|W| Y(A/|W|, B/|W|,
     C/|W|)``, or the maximum modulus on the unit circle where W = 0."""
+    import numpy as np
+
     out = []
     for a, b, c, w in zip(A.tolist(), B.tolist(), C.tolist(), np.abs(W).tolist()):
         if w > 0:
@@ -307,6 +307,8 @@ def _y_radius_profile(A: float, B: float, C: float):
     multiplied back by the power of two exactly and gets ``1 - r^2``, all in
     place.
     """
+    import numpy as np
+
     exponent, a, b, c = _pow2_normalized(A, B, C)
     opposite = a < 0 < c or c < 0 < a
 
@@ -337,6 +339,8 @@ def y_brute_force(yin: YInput) -> float:
     and :func:`tau1_argmax` scans 200 radii of [0, 1], then windows around the
     incumbent.  It shares nothing with the branch ladder of the closed form.
     """
+    from ._search import tau1_argmax
+
     profile = _y_radius_profile(yin.A, yin.B, yin.C)
     return tau1_argmax(profile, _Y_GRID, _Y_ROUNDS, _Y_SHRINK)[0]
 
@@ -359,6 +363,10 @@ def lemma23_empirical(v: float) -> float:
     so its sup over the tau2 disk is ``|2t^2 - 4v t^2| + 2u``; that profile
     is scanned at 48 points of t in [0, 1], 0 and 1 among them.
     """
+    import numpy as np
+
+    from ._search import tau1_argmax
+
     def profile(t):
         return np.abs(2.0 * t * t - 4.0 * v * t * t) + 2.0 * (1.0 - t * t)
 
@@ -397,6 +405,8 @@ def lemma24_check(B: float, D: float) -> Lemma24Report:
         raise ValueError("hypothesis violated: need 0 <= B <= 1")
     if not (B * (2 * B - 1) <= D <= B):
         raise ValueError("hypothesis violated: need B(2B - 1) <= D <= B")
+    from ._search import tau1_argmax
+
     best, t1, _ = tau1_argmax(lambda t: form_max(*_lemma24_form(B, D, t)), _L24_SAMPLES)
     return Lemma24Report(best, best <= 2.0 + 1e-9, (t1, *form_argmax(*_lemma24_form(B, D, t1))))
 
@@ -427,6 +437,10 @@ def psi_empirical(pin: PsiInput):
     over t in [0, 1] with shrinking windows; returns (min, max).  Never
     exceeds psi_plus_bound above nor -psi_minus_bound below.
     """
+    import numpy as np
+
+    from ._search import tau1_argmax
+
     b1, b3, b4 = pin.B1, abs(pin.B3), pin.B4
 
     def top(t):

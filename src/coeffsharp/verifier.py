@@ -10,11 +10,11 @@ bounds.  With ``c1 = 2 tau1`` real, each functional the bounds are about is
     A + B tau2 + C tau2^2 + W (1 - |tau2|^2) tau3
 
 with real polynomials A, B, C, W in tau1, derived once per functional from
-its closed form itself, run on tau1 as an exact ``Fraction`` polynomial: the
-parameter map gives c1..c3 as polynomials in tau1 at tau2 in {0, 1, -1} and
-tau3 in {0, 1}, which fix A, B, C and W, and the point (1/2, 1/2) checks the
-form as an identity in tau1.  tau3 and tau2 are then eliminated in closed
-form:
+its closed form itself, run on tau1 as an exact ``Fraction`` polynomial
+(``_poly.Poly``): the parameter map gives c1..c3 as polynomials in tau1 at
+tau2 in {0, 1, -1} and tau3 in {0, 1}, which fix A, B, C and W, and the point
+(1/2, 1/2) checks the form as an identity in tau1.  tau3 and tau2 are then
+eliminated in closed form:
 
 * with C = W = 0 (the two-parameter targets) the sup over the tau2 disk is
   ``|A| + |B|`` and the inf ``max(0, |A| - |B|)``;
@@ -38,13 +38,15 @@ the constant within ``ATTAIN_TOL`` and never exceeds it by more than
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, cached_property
+from numbers import Integral
 from types import SimpleNamespace
 
 import numpy as np
 
+from ._poly import Poly
 from ._search import tau1_argmax
 from .caratheodory import CaratheodoryPoint, c3_parts, c12, coeffs_from_point
 from .functionals import _FUNCTIONALS, FunctionalValue, evaluate_functional
@@ -100,6 +102,10 @@ class SearchConfig:
     refinement_rounds: int = 6
 
     def __post_init__(self):
+        for field in fields(self):  # a numpy integer is one too; a bool or 2.5 is not
+            value = getattr(self, field.name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{field.name} must be an integer, got {type(value).__name__}")
         if not 2 <= self.grid_tau1 <= TAU1_GRID_MAX:
             raise ValueError(f"grid_tau1 must lie in [2, {TAU1_GRID_MAX}]")
         for name in ("grid_r", "grid_theta"):
@@ -133,9 +139,7 @@ def _horner(coeffs, x):
 def _coeffs_on_tau1(tau2, tau3) -> SimpleNamespace:
     """c1, c2, c3 at (tau1, tau2, tau3) as exact polynomials in tau1, for
     rational tau2 and tau3; mapped once and shared by every functional."""
-    from numpy.polynomial import Polynomial  # only the derivation needs it
-
-    t1 = Polynomial(np.array([Fraction(0), Fraction(1)], dtype=object))
+    t1 = Poly((0, 1))
     c1, c2 = c12(t1, tau2)
     head, w = c3_parts(t1, tau2)
     return SimpleNamespace(c1=c1, c2=c2, c3=head + w * tau3)
@@ -160,7 +164,7 @@ def _tau1_polynomials(name: str) -> tuple:
     h = Fraction(1, 2)
     if A + B * h + C * h * h + W * (1 - h * h) * h != at(h, h):
         raise ValueError(f"{name} is not A + B tau2 + C tau2^2 + W (1 - |tau2|^2) tau3")
-    return tuple(tuple(p.coef[::-1].tolist()) for p in (A, B, C, W))
+    return tuple(p.coef[::-1] for p in (A, B, C, W))
 
 
 @dataclass(frozen=True)

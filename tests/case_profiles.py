@@ -13,12 +13,20 @@ cross-checks of the profiles the verifier derives.
 lives on [TAU_SPLIT, 1).  Divided by 192, phi is the ``H21_log`` profile, and
 Psi below TAU_SPLIT and Phi above it are the ``H21_inverse`` profile.
 The paper's tau forms of the two determinants are kept here as well.
+
+A grid of (c1, c2, c3) points on which equality proves two forms in c1..c3
+equal as polynomials, and on it the rotation covariance of both determinants.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction as F
+from types import SimpleNamespace
 
-from coeffsharp.caratheodory import mag_squared
+from coeffsharp._poly import Poly
+from coeffsharp.caratheodory import SchwarzCoeffs, mag_squared
+from coeffsharp.functionals import hankel_log, hankel_log_inverse
 
 
 @dataclass(frozen=True)
@@ -109,3 +117,32 @@ def hankel_tau(name, t1, tau2, tau3):
     u = 1 - t1 * t1
     head = quartic * t1 ** 4 + quad * t1 * t1 * tau2 * u - 4 * tau2 * tau2 * (3 + t1 * t1) * u
     return (head + 16 * t1 * u * (1 - mag_squared(tau2)) * tau3) / 192
+
+
+# Alon's Combinatorial Nullstellensatz (1999): a polynomial of degree at most
+# 4 in c1, 2 in c2 and 1 in c3 that vanishes on a grid of 5 x 3 x 2 points is
+# zero.  Every direct form and its value through the a -> gamma chain obey
+# those degrees, so exact equality on the grid proves them equal as polynomials.
+C1_GRID = (F(-2), F(-1), F(0), F(1, 3), F(2))
+C2_GRID = (F(-1), F(0), F(3, 2))
+C3_GRID = (F(-1, 2), F(2))
+
+
+def nullstellensatz_grid():
+    """The grid's points as exact ``SchwarzCoeffs``."""
+    return itertools.starmap(SchwarzCoeffs, itertools.product(C1_GRID, C2_GRID, C3_GRID))
+
+
+def rotated_hankels():
+    """``(name, c, H(c1 w, c2 w^2, c3 w^3), w^4 H(c))`` for both determinants H
+    at each grid point c, with the rotation w an exact polynomial variable.
+
+    Each power of w carries a polynomial in c1..c3 of the grid's degrees, so
+    equal pairs at every grid point prove ``H(rotated c) = w^4 H(c)``, and
+    with it that |H| is invariant under rotation.
+    """
+    w = Poly((0, 1))
+    for c in nullstellensatz_grid():
+        rotated = SimpleNamespace(c1=c.c1 * w, c2=c.c2 * w ** 2, c3=c.c3 * w ** 3)
+        for hankel in (hankel_log, hankel_log_inverse):
+            yield hankel.__name__, c, hankel(rotated), w ** 4 * hankel(c)

@@ -47,6 +47,7 @@ from case_profiles import (
     gamma_from_a,
     hankel_tau,
     inverse_from_a,
+    rotated_hankels,
     taylor_from_c,
 )
 
@@ -206,15 +207,10 @@ def test_criterion_6_structural_invariants():
     t0 = time.time()
     rng = np.random.default_rng(20240606)
 
-    # rotation covariance e^{4 i theta} of both determinants
-    vals = 2 * rng.uniform(0, 1, 3) * np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
-    c = SchwarzCoeffs(*map(complex, vals))
-    for theta in rng.uniform(0, 2 * np.pi, 100):
-        w = cmath.exp(1j * theta)
-        rotated = SchwarzCoeffs(c.c1 * w, c.c2 * w ** 2, c.c3 * w ** 3)
-        assert cmath.isclose(hankel_log(rotated), w ** 4 * hankel_log(c), abs_tol=1e-12)
-        assert cmath.isclose(hankel_log_inverse(rotated),
-                             w ** 4 * hankel_log_inverse(c), abs_tol=1e-12)
+    # rotation covariance of both determinants, H(c1 w, c2 w^2, c3 w^3) = w^4 H(c),
+    # as an exact identity in w on the Nullstellensatz grid
+    for name, c, rotated, want in rotated_hankels():
+        assert rotated == want, (name, c)
 
     # coefficient bound over 1e5 parametrization samples
     n = 100_000
@@ -235,7 +231,7 @@ def test_criterion_6_structural_invariants():
 
     elapsed = time.time() - t0
     assert elapsed < 30.0
-    _announce(6, f"rotation covariance, |c| <= 2 on 1e5 samples, exact round trips ({elapsed:.1f}s)")
+    _announce(6, f"exact rotation covariance, |c| <= 2 on 1e5 samples, exact round trips ({elapsed:.1f}s)")
 
 
 def test_criterion_7_full_scale_note():

@@ -2,14 +2,11 @@
 
 import cmath
 import dataclasses
-import itertools
 import math
 from fractions import Fraction as F
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from numpy.polynomial import Polynomial
 
 from coeffsharp import caratheodory
 from coeffsharp.caratheodory import (
@@ -29,7 +26,15 @@ from coeffsharp.functionals import (
 )
 from coeffsharp.series_engine import compose, series, series_div, starlike_from_schwarz
 
-from case_profiles import HANKEL_TAU, gamma_from_a, hankel_tau, inverse_from_a, taylor_from_c
+from case_profiles import (
+    HANKEL_TAU,
+    gamma_from_a,
+    hankel_tau,
+    inverse_from_a,
+    nullstellensatz_grid,
+    rotated_hankels,
+    taylor_from_c,
+)
 
 F1_COEFFS = SchwarzCoeffs(F(2), F(2), F(2))   # half-plane point
 F2_COEFFS = SchwarzCoeffs(F(0), F(2), F(0))   # z^2 point
@@ -163,22 +168,13 @@ def test_hankel_inverse_tau_case_values():
     assert on_point("H21_log_inverse", F(0), F(0), F(1)) == 0
 
 
-# Alon's Combinatorial Nullstellensatz (1999): a polynomial of degree at most
-# 4 in c1, 2 in c2 and 1 in c3 that vanishes on a grid of 5 x 3 x 2 points is
-# zero.  Every direct form and its value through the a -> gamma chain obey
-# those degrees, so exact equality on the grid proves them equal as polynomials.
-C1_GRID = (F(-2), F(-1), F(0), F(1, 3), F(2))
-C2_GRID = (F(-1), F(0), F(3, 2))
-C3_GRID = (F(-1, 2), F(2))
-
-
 def inverse_gamma3(c):
     """Gamma3 of the inverse written out in c1..c3; no functional reads it alone."""
     return -9 * c.c1 ** 3 / 64 + 11 * c.c1 * c.c2 / 48 - c.c3 / 12
 
 
 def test_direct_forms_equal_the_chain_on_a_nullstellensatz_grid():
-    for c in itertools.starmap(SchwarzCoeffs, itertools.product(C1_GRID, C2_GRID, C3_GRID)):
+    for c in nullstellensatz_grid():
         a = taylor_from_c(c)
         g, inv = gamma_from_a(a), inverse_from_a(a)
         via_chain = {
@@ -240,16 +236,9 @@ def test_route_equivalence_tau_forms():
 
 
 def test_rotation_covariance_of_hankels():
-    # H(c1 w, c2 w^2, c3 w^3) = w^4 H(c), so |H| is invariant under rotation.
-    # With w a polynomial, each power of w carries a polynomial in c1..c3 of
-    # the degrees above, so equality on the Nullstellensatz grid proves it.
-    w = Polynomial(np.array([F(0), F(1)], dtype=object))
-    for c in itertools.starmap(SchwarzCoeffs, itertools.product(C1_GRID, C2_GRID, C3_GRID)):
-        rotated = SimpleNamespace(c1=c.c1 * w, c2=c.c2 * w ** 2, c3=c.c3 * w ** 3)
-        for hankel in (hankel_log, hankel_log_inverse):
-            got, want = hankel(rotated).coef.tolist(), (w ** 4 * hankel(c)).coef.tolist()
-            assert all(type(x) is F for x in got), (hankel.__name__, c)
-            assert got == want, (hankel.__name__, c)
+    for name, c, got, want in rotated_hankels():
+        assert all(type(x) is F for x in got.coef), (name, c)
+        assert got == want, (name, c)
 
 
 # --- moduli differences -------------------------------------------------------------------

@@ -87,17 +87,21 @@ except SystemExit as exc:
 """
 
 
-def numpy_loaded(code, *args):
-    """Whether ``numpy`` is in ``sys.modules`` after ``python -c code *args``
-    runs on this checkout."""
+def loaded_modules(code, *args):
+    """The names in ``sys.modules`` after ``python -c code *args`` runs on
+    this checkout."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    code += "\nimport sys\nprint('coeffsharp' in sys.modules, 'numpy' in sys.modules)"
+    code += "\nimport sys\nprint(*sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.splitlines()[-1].split()
-    assert loaded[0] == "True"
-    return loaded[1] == "True"
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert "coeffsharp" in loaded
+    return loaded
+
+
+def numpy_loaded(code, *args):
+    return "numpy" in loaded_modules(code, *args)
 
 
 @pytest.mark.parametrize("code, args", [
@@ -105,11 +109,32 @@ def numpy_loaded(code, *args):
     ("from coeffsharp import exprs", ()),
     (RUN_CLI, ("series", "f1", "--order", "4")),
     (RUN_CLI, ("eval", "gamma1", "--c", "1/2")),
-], ids=["import", "import-exprs", "series", "eval"])
+    (RUN_CLI, ("lemma", "Y", "--", "-0.2", "0.5", "0.3")),
+    (RUN_CLI, ("lemma", "L23", "1/4")),
+    (RUN_CLI, ("lemma", "L41", "plus", "1/4", "-0.03125", "1/8")),
+], ids=["import", "import-exprs", "series", "eval", "lemma-Y", "lemma-L23", "lemma-L41"])
 def test_exact_commands_never_import_numpy(code, args):
     assert not numpy_loaded(code, *args)
 
 
 def test_lemma_still_imports_numpy():
-    # the probe above can see numpy: a command whose module needs it loads it
-    assert numpy_loaded(RUN_CLI, "lemma", "L23", "1/4")
+    # the probe above can see numpy: a command that runs an oracle loads it
+    assert numpy_loaded(RUN_CLI, "lemma", "L23", "--oracle", "1/4")
+
+
+DERIVE_ALL = """
+from coeffsharp.verifier import THEOREMS, _tau1_polynomials
+names = {n for th in THEOREMS.values() for n in (th.modulus, th.offset) if n}
+assert len(names) == 7 and all(_tau1_polynomials(n) for n in names)
+"""
+
+
+def polynomial_package_loaded(code):
+    """Whether numpy's ``polynomial`` package, or a module of it, is loaded."""
+    return any(name.split(".")[:2] == ["numpy", "polynomial"] for name in loaded_modules(code))
+
+
+def test_the_tau1_derivation_never_loads_the_polynomial_package():
+    assert not polynomial_package_loaded(DERIVE_ALL)
+    # the probe can see the package when it is loaded
+    assert polynomial_package_loaded(DERIVE_ALL + "from numpy import polynomial")

@@ -97,6 +97,20 @@ def test_config_validation():
     assert SearchConfig(grid_tau1=TAU1_GRID_MAX).grid_tau1 == TAU1_GRID_MAX
 
 
+@pytest.mark.parametrize("field, value", [
+    ("grid_tau1", 2.5), ("grid_tau1", 13.0), ("refinement_rounds", 1.5),
+    ("refinement_rounds", True), ("grid_r", F(5)), ("grid_theta", "72"),
+])
+def test_config_rejects_a_count_that_is_not_an_integer(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SearchConfig(**{field: value})
+
+
+def test_config_takes_numpy_integers():
+    cfg = SearchConfig(grid_tau1=np.int64(13), refinement_rounds=np.int32(2))
+    assert verify("gamma2", cfg) == verify("gamma2", SearchConfig(grid_tau1=13, refinement_rounds=2))
+
+
 def test_verify_rejects_unknown_id():
     with pytest.raises(ValueError):
         verify("bogus")
