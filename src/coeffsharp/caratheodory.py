@@ -50,10 +50,16 @@ def mag_squared(x):
     return x.real * x.real + x.imag * x.imag
 
 
-def _mag_within(x, bound_sq: tuple) -> bool:
-    """``|x|^2`` at most a squared bound ``(float, exact Fraction)``: a rational
-    x is compared with the exact value, anything else with the float."""
-    return mag_squared(x) <= bound_sq[isinstance(x, Rational)]
+def _check_coordinate(name: str, val, bound: int, bound_sq: tuple) -> None:
+    """Refuse a coordinate that is not a finite number with ``|val| <= bound``,
+    the squared bound given as ``(float, exact Fraction)``: a rational is
+    compared with the exact value, anything else with the float."""
+    if not isinstance(val, Number):
+        raise ValueError(f"{name} must be a number")
+    if not isinstance(val, Rational) and not cmath.isfinite(val):
+        raise ValueError(f"{name} must be finite, got {_shown(val)}")
+    if not mag_squared(val) <= bound_sq[isinstance(val, Rational)]:
+        raise ValueError(f"|{name}| must be <= {bound}, got {_shown(val)}")
 
 
 @dataclass(frozen=True)
@@ -68,14 +74,12 @@ class CaratheodoryPoint:
         t1 = self.tau1
         if isinstance(t1, complex) or not isinstance(t1, Number):
             raise ValueError("tau1 must be real")
+        if not isinstance(t1, Rational) and not cmath.isfinite(t1):
+            raise ValueError(f"tau1 must be finite, got {_shown(t1)}")
         if not 0 <= t1 <= 1:
             raise ValueError(f"tau1 must lie in [0, 1], got {_shown(t1)}")
-        for name in ("tau2", "tau3"):
-            val = getattr(self, name)
-            if not isinstance(val, Number):
-                raise ValueError(f"{name} must be a number")
-            if not _mag_within(val, _TAU_BOUND_SQ):
-                raise ValueError(f"|{name}| must be <= 1, got {_shown(val)}")
+        _check_coordinate("tau2", self.tau2, 1, _TAU_BOUND_SQ)
+        _check_coordinate("tau3", self.tau3, 1, _TAU_BOUND_SQ)
 
 
 @dataclass(frozen=True)
@@ -92,15 +96,8 @@ class SchwarzCoeffs:
 
     def __post_init__(self):
         for name in ("c1", "c2", "c3"):
-            val = getattr(self, name)
-            if val is None:
-                continue
-            if not isinstance(val, Number):
-                raise ValueError(f"{name} must be a number")
-            if not isinstance(val, Rational) and not cmath.isfinite(val):
-                raise ValueError(f"{name} must be finite, got {_shown(val)}")
-            if not _mag_within(val, _COEFF_BOUND_SQ):
-                raise ValueError(f"|{name}| must be <= 2, got {_shown(val)}")
+            if (val := getattr(self, name)) is not None:
+                _check_coordinate(name, val, 2, _COEFF_BOUND_SQ)
 
 
 def c12(t1, tau2):

@@ -1,12 +1,14 @@
 """Command-line front end: series, eval, verify and lemma subcommands.
 
-Every command is deterministic given its arguments and config file.  JSON
-reports are written with a fixed layout so that re-reading and re-serializing
-a file is byte-identical.  Exit codes: 0 success / all passed, 1 verification
-failure, 2 usage or hypothesis error.  The lemma and verify handlers import
-``lemmas`` and ``verifier`` themselves.  numpy comes with ``verifier`` and with
-a lemma scan (an oracle, or the L24 check); series, eval and the other lemma
-closed forms load none.
+Every command is deterministic given its arguments and config file.  Each
+handler returns its config, its results, the text to print and its exit code;
+``main`` alone writes the ``--json`` report, then prints, so a refused command
+prints nothing.  JSON reports are written with a fixed layout so that
+re-reading and re-serializing a file is byte-identical.  Exit codes: 0 success
+/ all passed, 1 verification failure, 2 usage or hypothesis error.  The lemma
+and verify handlers import ``lemmas`` and ``verifier`` themselves.  numpy
+comes with ``verifier`` and with a lemma scan (an oracle, or the L24 check);
+series, eval and the other lemma closed forms load none.
 """
 
 from __future__ import annotations
@@ -63,10 +65,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     started = _now()
     try:
-        return args.handler(args, started)
+        config, results, text, code = args.handler(args)
+        _write_manifest(args.json, args.command, config, started, results)
     except (UsageError, ValueError) as exc:  # ValueError: a contract violation in the library
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(text)
+    return code
 
 
 def run() -> None:
@@ -111,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lemma.add_argument("lemma", choices=["Y", "L23", "L24", "L41"])
     p_lemma.add_argument("params", nargs="+", help="lemma parameters")
     p_lemma.add_argument("--oracle", action="store_true",
-                         help="also run the brute-force oracle")
+                         help="also run the brute-force oracle (not L24, whose check is a scan)")
     p_lemma.add_argument("--json", metavar="PATH")
     p_lemma.set_defaults(handler=_cmd_lemma)
 
@@ -183,7 +188,7 @@ def _fmt_coeff(k: int, c, fmt: str) -> str:
     return text
 
 
-def _cmd_series(args, started) -> int:
+def _cmd_series(args) -> tuple:
     if args.omega and args.which != "custom-omega":
         raise UsageError("--omega only applies to custom-omega")
     s = _series_for(args)
@@ -196,15 +201,12 @@ def _cmd_series(args, started) -> int:
         "mode": s.mode,
         "coefficients": [_num_json(c) for c in s.coeffs],
     }
-    _write_manifest(args.json, "series", {"order": args.order, "format": args.format},
-                    started, results)
-    print(line)
-    return 0
+    return {"order": args.order, "format": args.format}, results, line, 0
 
 
 # --- eval ---------------------------------------------------------------------
 
-def _cmd_eval(args, started) -> int:
+def _cmd_eval(args) -> tuple:
     name = _EVAL_ALIASES.get(args.functional, args.functional)
     if name not in FUNCTIONAL_NAMES:
         raise UsageError(f"unknown functional {args.functional!r}; "
@@ -230,10 +232,7 @@ def _cmd_eval(args, started) -> int:
         "value": value.real if name.startswith("diff_") else {"re": value.real, "im": value.imag},
         "magnitude": abs(value),
     }
-    text = json.dumps(payload, indent=2, allow_nan=False)
-    _write_manifest(args.json, "eval", {}, started, payload)
-    print(text)
-    return 0
+    return {}, payload, json.dumps(payload, indent=2, allow_nan=False), 0
 
 
 # --- verify -------------------------------------------------------------------
@@ -292,17 +291,15 @@ def _report_json(rep) -> dict:
     }
 
 
-def _print_report_table(reports) -> None:
+def _report_table(reports) -> list:
     head = f"{'theorem':<18} {'bound':>12} {'empirical':>14} {'gap':>11} {'evals':>10} status"
-    print(head)
-    print("-" * len(head))
-    for rep in reports:
-        status = "pass" if rep.passed else "FAIL"
-        print(f"{rep.theorem_id:<18} {rep.bound.expr:>12} {rep.empirical_extremum:>14.9f} "
-              f"{rep.gap:>11.2e} {rep.evaluations:>10d} {status}")
+    return [head, "-" * len(head)] + [
+        f"{rep.theorem_id:<18} {rep.bound.expr:>12} {rep.empirical_extremum:>14.9f} "
+        f"{rep.gap:>11.2e} {rep.evaluations:>10d} {'pass' if rep.passed else 'FAIL'}"
+        for rep in reports]
 
 
-def _cmd_verify(args, started) -> int:
+def _cmd_verify(args) -> tuple:
     from .verifier import THEOREM_IDS, verify
 
     cfg = _load_config(args.config)
@@ -314,14 +311,11 @@ def _cmd_verify(args, started) -> int:
         raise UsageError(f"unknown theorem {args.theorem!r}; "
                          f"choose from all, {', '.join(THEOREM_IDS)}")
     reports = [verify(theorem_id, cfg) for theorem_id in ids]
-    _write_manifest(args.json, "verify", asdict(cfg), started,
-                    [_report_json(rep) for rep in reports])
-    _print_report_table(reports)
-    failed = [rep for rep in reports if not rep.passed]
-    print(f"{len(reports) - len(failed)}/{len(reports)} passed")
-    for rep in failed:
-        print(f"FAILED: {json.dumps(_report_json(rep), allow_nan=False)}")
-    return 0 if not failed else 1
+    results = [_report_json(rep) for rep in reports]
+    failed = [rep for rep in results if not rep["passed"]]
+    lines = _report_table(reports) + [f"{len(reports) - len(failed)}/{len(reports)} passed"]
+    lines += [f"FAILED: {json.dumps(rep, allow_nan=False)}" for rep in failed]
+    return asdict(cfg), results, "\n".join(lines), 1 if failed else 0
 
 
 # --- lemma --------------------------------------------------------------------
@@ -340,7 +334,7 @@ def _lemma_params(args, count: int, label: str):
     return _lemma_floats(args, args.params)
 
 
-def _cmd_lemma(args, started) -> int:
+def _cmd_lemma(args) -> tuple:
     from .lemmas import (
         PsiInput,
         YInput,
@@ -355,9 +349,7 @@ def _cmd_lemma(args, started) -> int:
         y_closed_form,
     )
 
-    results: dict
-    lines = []  # printed after the report file is written
-    code = 0
+    lines, code = [], 0
     if args.lemma == "Y":
         a, b, c = _lemma_params(args, 3, "A B C")
         yin = YInput(a, b, c)
@@ -381,6 +373,8 @@ def _cmd_lemma(args, started) -> int:
             results["discrepancy"] = abs(bound - emp)
             lines.append(f"oracle: {emp!r}  |difference|: {results['discrepancy']:.3e}")
     elif args.lemma == "L24":
+        if args.oracle:
+            raise UsageError("lemma L24 takes no --oracle: its check is its own scan")
         b, d = _lemma_params(args, 2, "B D")
         report = lemma24_check(b, d)
         results = {"lemma": "L24", "inputs": [b, d],
@@ -405,6 +399,4 @@ def _cmd_lemma(args, started) -> int:
             emp = hi if side == "plus" else -lo
             results["discrepancy"] = abs(bound - emp)
             lines.append(f"oracle extreme: {emp!r}  |difference|: {results['discrepancy']:.3e}")
-    _write_manifest(args.json, "lemma", {}, started, results)
-    print("\n".join(lines))
-    return code
+    return {}, results, "\n".join(lines), code

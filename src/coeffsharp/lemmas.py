@@ -12,10 +12,12 @@ Two families live here.
   ``|B2 c1^2 + B3 c2| - |B1 c1|`` over positive-real-part coefficients,
   whose oracles scan profiles of tau1 alone.
 
-Every oracle scans a fixed count of points and takes no count argument: it
-eliminates the angle, or tau2 and tau3, exactly, so a finer grid would move
-its answer by rounding at most.  numpy and the search are imported only
-where an oracle or ``form_max`` runs, so the closed forms load neither.
+With ``c1 = 2 tau1`` a closed form in c1..c3 is such a form in (tau2, tau3),
+whose exact tau1 rows ``_tau1_polynomials`` derives for the verifier and the
+L24 check alike.  Every oracle scans a fixed count of points and takes no count
+argument: it eliminates the angle, or tau2 and tau3, exactly, so a finer grid
+would move its answer by rounding at most.  numpy and the search are imported
+only where a scan or ``form_max`` runs: the closed forms load neither.
 
 Boundary ties in piecewise conditions resolve to the first listed branch;
 the branches agree at the seams (see the seam tests).
@@ -26,8 +28,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cache
 from numbers import Rational
+from types import SimpleNamespace
 
+from ._poly import Poly
 from .caratheodory import c12, c3_parts
 
 _PSI_GRID, _PSI_ROUNDS, _PSI_SHRINK = 121, 10, 0.1  # psi_empirical's tau1 scans
@@ -257,6 +263,54 @@ def form_coefficients(f) -> tuple:
     return f0, (fp - fm) / 2, (fp + fm) / 2 - f0, f(0, 1) - f0
 
 
+def _horner(coeffs, x):
+    """The polynomial with ``coeffs`` (highest degree first) at x, starting
+    from the leading coefficient."""
+    value, *rest = coeffs
+    for c in rest:
+        value = value * x + c
+    return value
+
+
+@cache
+def _coeffs_on_tau1(tau2, tau3) -> SimpleNamespace:
+    """c1, c2, c3 at (tau1, tau2, tau3) as exact polynomials in tau1, for
+    rational tau2 and tau3; mapped once and shared by every closed form."""
+    t1 = Poly((0, 1))
+    c1, c2 = c12(t1, tau2)
+    head, w = c3_parts(t1, tau2)
+    return SimpleNamespace(c1=c1, c2=c2, c3=head + w * tau3)
+
+
+@cache
+def _tau1_polynomials(form) -> tuple:
+    """Exact polynomials (A, B, C, W) in tau1, each highest degree first, with
+
+        form(c1, c2, c3) = A + B tau2 + C tau2^2 + W (1 - |tau2|^2) tau3.
+
+    The closed form runs on c1..c3 as polynomials in tau1, so every
+    coefficient is exact whatever its degree; the point (tau2, tau3) =
+    (1/2, 1/2) checks the form in tau2 and tau3, as an identity in tau1.
+    """
+    def at(tau2, tau3):
+        return form(_coeffs_on_tau1(tau2, tau3))
+
+    A, B, C, W = form_coefficients(at)
+    h = Fraction(1, 2)
+    if A + B * h + C * h * h + W * (1 - h * h) * h != at(h, h):
+        raise ValueError(f"{form.__name__} is not A + B tau2 + C tau2^2 + W (1 - |tau2|^2) tau3")
+    return tuple(p.coef[::-1] for p in (A, B, C, W))
+
+
+def _float_rows(polys, width: int = 0):
+    """Exact polynomials, highest degree first, as the rows of one float array
+    at least ``width`` wide; leading zeros, which change no bit on [0, 1], pad them."""
+    import numpy as np
+
+    width = max(width, *map(len, polys))
+    return np.array([[0.0] * (width - len(p)) + [float(c) for c in p] for p in polys])
+
+
 def form_max(A, B, C, W) -> np.ndarray:
     """Maximum of ``|A + B tau2 + C tau2^2 + W (1 - |tau2|^2) tau3|`` over the
     closed bidisk, elementwise over real arrays: over tau3 it is ``|A + B tau2 +
@@ -380,22 +434,21 @@ class Lemma24Report:
     at: tuple
 
 
-def _lemma24_form(B: float, D: float, t1) -> tuple:
-    """(A, B', C, W) of c3 - 2B c1 c2 + D c1^3 in tau2 and tau3, at tau1 (elementwise)."""
-    def value(tau2, tau3):
-        c1, c2 = c12(t1, tau2)
-        head, w = c3_parts(t1, tau2)
-        return head + w * tau3 - 2.0 * B * c1 * c2 + D * c1 ** 3
-
-    return form_coefficients(value)
+@cache
+def _lemma24_rows():
+    """The exact (A, B', C, W) rows in tau1 of c3, c1 c2 and c1^3, the terms that
+    L24 weights by 1, -2B and D, converted once to a float array (3, 4, width)."""
+    terms = (lambda c: c.c3, lambda c: c.c1 * c.c2, lambda c: c.c1 ** 3)
+    return _float_rows([p for term in terms for p in _tau1_polynomials(term)]).reshape(3, 4, -1)
 
 
 def lemma24_check(B: float, D: float) -> Lemma24Report:
     """Empirical maximum of |c3 - 2B c1 c2 + D c1^3|, checked against 2.
 
     It is ``A + B' tau2 + C tau2^2 + W (1 - |tau2|^2) tau3`` with real A, B',
-    C and ``W = 2 (1 - tau1^2)``, so its maximum over (tau2, tau3) is
-    :func:`form_max`, a profile of tau1 scanned at 21 points of [0, 1].
+    C and ``W = 2 (1 - tau1^2)``, the weighted sum of its terms' exact tau1
+    rows, so its maximum over (tau2, tau3) is :func:`form_max`, a profile of
+    tau1 scanned at 21 points of [0, 1] by one stacked Horner pass.
     ``at`` holds the maximizing triple, (tau2, tau3) exactly.
 
     Requires the hypothesis 0 <= B <= 1 and B(2B - 1) <= D <= B; anything
@@ -407,8 +460,10 @@ def lemma24_check(B: float, D: float) -> Lemma24Report:
         raise ValueError("hypothesis violated: need B(2B - 1) <= D <= B")
     from ._search import tau1_argmax
 
-    best, t1, _ = tau1_argmax(lambda t: form_max(*_lemma24_form(B, D, t)), _L24_SAMPLES)
-    return Lemma24Report(best, best <= 2.0 + 1e-9, (t1, *form_argmax(*_lemma24_form(B, D, t1))))
+    c3, c1c2, c1_cubed = _lemma24_rows()
+    rows = (c3 - 2.0 * B * c1c2 + D * c1_cubed).T
+    best, t1, _ = tau1_argmax(lambda t: form_max(*_horner(rows[:, :, None], t)), _L24_SAMPLES)
+    return Lemma24Report(best, best <= 2.0 + 1e-9, (t1, *form_argmax(*_horner(rows, t1).tolist())))
 
 
 def psi_plus_bound(pin: PsiInput) -> float:

@@ -9,9 +9,9 @@ bounds.  With ``c1 = 2 tau1`` real, each functional the bounds are about is
 
     A + B tau2 + C tau2^2 + W (1 - |tau2|^2) tau3
 
-with real polynomials A, B, C, W in tau1, derived once per functional from
-its closed form itself, run on tau1 as an exact ``Fraction`` polynomial
-(``_poly.Poly``): the parameter map gives c1..c3 as polynomials in tau1 at
+with real polynomials A, B, C, W in tau1, derived once per closed form by
+``lemmas._tau1_polynomials``, which the L24 check shares: the closed form
+runs on c1..c3 as exact ``Fraction`` polynomials in tau1 (``_poly.Poly``) at
 tau2 in {0, 1, -1} and tau3 in {0, 1}, which fix A, B, C and W, and the point
 (1/2, 1/2) checks the form as an identity in tau1.  tau3 and tau2 are then
 eliminated in closed form:
@@ -40,17 +40,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from numbers import Integral
-from types import SimpleNamespace
 
 import numpy as np
 
-from ._poly import Poly
 from ._search import tau1_argmax
-from .caratheodory import CaratheodoryPoint, c3_parts, c12, coeffs_from_point
+from .caratheodory import CaratheodoryPoint, coeffs_from_point
 from .functionals import _FUNCTIONALS, FunctionalValue, evaluate_functional
-from .lemmas import form_argmax, form_coefficients, form_max
+from .lemmas import _float_rows, _horner, _tau1_polynomials, form_argmax, form_max
 
 __all__ = [
     "THEOREMS",
@@ -126,47 +124,6 @@ class VerificationReport:
     passed: bool
 
 
-def _horner(coeffs, x):
-    """The polynomial with ``coeffs`` (highest degree first) at x, starting
-    from the leading coefficient."""
-    value, *rest = coeffs
-    for c in rest:
-        value = value * x + c
-    return value
-
-
-@cache
-def _coeffs_on_tau1(tau2, tau3) -> SimpleNamespace:
-    """c1, c2, c3 at (tau1, tau2, tau3) as exact polynomials in tau1, for
-    rational tau2 and tau3; mapped once and shared by every functional."""
-    t1 = Poly((0, 1))
-    c1, c2 = c12(t1, tau2)
-    head, w = c3_parts(t1, tau2)
-    return SimpleNamespace(c1=c1, c2=c2, c3=head + w * tau3)
-
-
-@cache
-def _tau1_polynomials(name: str) -> tuple:
-    """Exact polynomials (A, B, C, W) in tau1, each highest degree first, with
-
-        name(tau1, tau2, tau3) = A + B tau2 + C tau2^2 + W (1 - |tau2|^2) tau3.
-
-    The functional's closed form runs on c1..c3 as polynomials in tau1, so
-    every coefficient is exact whatever its degree; the point (tau2, tau3) =
-    (1/2, 1/2) checks the form in tau2 and tau3, as an identity in tau1.
-    """
-    form = _FUNCTIONALS[name][1]
-
-    def at(tau2, tau3):
-        return form(_coeffs_on_tau1(tau2, tau3))
-
-    A, B, C, W = form_coefficients(at)
-    h = Fraction(1, 2)
-    if A + B * h + C * h * h + W * (1 - h * h) * h != at(h, h):
-        raise ValueError(f"{name} is not A + B tau2 + C tau2^2 + W (1 - |tau2|^2) tau3")
-    return tuple(p.coef[::-1] for p in (A, B, C, W))
-
-
 @dataclass(frozen=True)
 class Theorem:
     """One sharp bound and everything needed to certify it.
@@ -192,19 +149,18 @@ class Theorem:
         the rows of one float array: A and B, then C and W unless both are
         zero, then the offset of a moduli difference.  One :func:`_horner`
         pass over its transpose evaluates them all; derived on first use."""
-        A, B, *CW = _tau1_polynomials(self.modulus)
+        A, B, *CW = _tau1_polynomials(_FUNCTIONALS[self.modulus][1])
         rows = [A, B]
         if any(any(p) for p in CW):
             if self.sign < 0:
                 raise ValueError(f"{self.id}: only |A + B tau2| has a closed-form infimum here")
             rows += CW
         if self.offset is not None:
-            offset, *rest = _tau1_polynomials(self.offset)
+            offset, *rest = _tau1_polynomials(_FUNCTIONALS[self.offset][1])
             if any(any(p) for p in rest):
                 raise ValueError(f"{self.offset} depends on tau2 or tau3")
             rows.append(offset)
-        width = max(ROW_WIDTH, *map(len, rows))
-        return np.array([[0.0] * (width - len(p)) + [float(c) for c in p] for p in rows])
+        return _float_rows(rows, ROW_WIDTH)
 
     def profile(self, t1) -> np.ndarray:
         """``sign`` times the extremum over (tau2, tau3) at each tau1: the

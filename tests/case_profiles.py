@@ -12,7 +12,8 @@ cross-checks of the profiles the verifier derives.
 [0, 1]; ``Phi(t) = (12 - 8 t^2 + 5 t^4) sqrt((52 - 16 t^2) / (9 (3 + t^2)))``
 lives on [TAU_SPLIT, 1).  Divided by 192, phi is the ``H21_log`` profile, and
 Psi below TAU_SPLIT and Phi above it are the ``H21_inverse`` profile.
-The paper's tau forms of the two determinants are kept here as well.
+The paper's tau forms of the two determinants are kept here as well, with
+their (A, B, C, W) rows in tau1.
 
 A grid of (c1, c2, c3) points on which equality proves two forms in c1..c3
 equal as polynomials, and on it the rotation covariance of both determinants.
@@ -27,6 +28,7 @@ from types import SimpleNamespace
 from coeffsharp._poly import Poly
 from coeffsharp.caratheodory import SchwarzCoeffs, mag_squared
 from coeffsharp.functionals import hankel_log, hankel_log_inverse
+from coeffsharp.lemmas import form_coefficients
 
 
 @dataclass(frozen=True)
@@ -117,6 +119,20 @@ def hankel_tau(name, t1, tau2, tau3):
     u = 1 - t1 * t1
     head = quartic * t1 ** 4 + quad * t1 * t1 * tau2 * u - 4 * tau2 * tau2 * (3 + t1 * t1) * u
     return (head + 16 * t1 * u * (1 - mag_squared(tau2)) * tau3) / 192
+
+
+def hankel_tau_rows(name):
+    """The tau form's exact (A, B, C, W), each highest degree first, with
+
+        H = A + B tau2 + C tau2^2 + W (1 - |tau2|^2) tau3
+
+    read off it with tau1 an exact polynomial.  The form has that shape as
+    written, and so does the library's closed form (its derivation checks
+    it), so equal rows prove the two equal on the whole domain.
+    """
+    t1 = Poly((0, 1))
+    rows = form_coefficients(lambda tau2, tau3: hankel_tau(name, t1, tau2, tau3))
+    return tuple(p.coef[::-1] for p in rows)
 
 
 # Alon's Combinatorial Nullstellensatz (1999): a polynomial of degree at most

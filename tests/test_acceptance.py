@@ -22,6 +22,7 @@ from coeffsharp.caratheodory import (
 )
 from coeffsharp.cli import main
 from coeffsharp.functionals import (
+    _FUNCTIONALS,
     evaluate_functional,
     hankel_log,
     hankel_log_inverse,
@@ -29,6 +30,7 @@ from coeffsharp.functionals import (
 from coeffsharp.lemmas import (
     PsiInput,
     YInput,
+    _tau1_polynomials,
     psi_empirical,
     psi_minus_bound,
     psi_plus_bound,
@@ -45,8 +47,9 @@ from case_profiles import (
     Phi,
     Psi,
     gamma_from_a,
-    hankel_tau,
+    hankel_tau_rows,
     inverse_from_a,
+    nullstellensatz_grid,
     rotated_hankels,
     taylor_from_c,
 )
@@ -161,23 +164,14 @@ def test_criterion_5_oracle_equivalences():
     assert any(k.startswith("i.") for k in seen)
     assert any(k.startswith("ii.") for k in seen)
 
-    # determinants vs the paper's tau forms, and gamma products
-    for _ in range(1000):
-        pt = CaratheodoryPoint(
-            rng.uniform(0, 1),
-            complex(rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))),
-            complex(rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))),
-        )
-        c = coeffs_from_point(pt)
-        for name in HANKEL_TAU:
-            assert cmath.isclose(evaluate_functional(name, c).value,
-                                 hankel_tau(name, pt.tau1, pt.tau2, pt.tau3), abs_tol=1e-12)
-        g = gamma_from_a(taylor_from_c(c))
-        assert cmath.isclose(hankel_log(c), g.gamma1 * g.gamma3 - g.gamma2 ** 2,
-                             abs_tol=1e-12)
-        inv = inverse_from_a(taylor_from_c(c))
-        assert cmath.isclose(hankel_log_inverse(c),
-                             inv.Gamma1 * inv.Gamma3 - inv.Gamma2 ** 2, abs_tol=1e-12)
+    # determinants vs the paper's tau forms: the same exact (A, B, C, W) rows in
+    # tau1; and vs the gamma products, exactly on the Nullstellensatz grid
+    for name in HANKEL_TAU:
+        assert hankel_tau_rows(name) == _tau1_polynomials(_FUNCTIONALS[name][1]), name
+    for c in nullstellensatz_grid():
+        g, inv = gamma_from_a(taylor_from_c(c)), inverse_from_a(taylor_from_c(c))
+        assert hankel_log(c) == g.gamma1 * g.gamma3 - g.gamma2 ** 2, c
+        assert hankel_log_inverse(c) == inv.Gamma1 * inv.Gamma3 - inv.Gamma2 ** 2, c
 
     # closed-form a2..a4 vs the series pipeline
     for _ in range(1000):
@@ -200,7 +194,7 @@ def test_criterion_5_oracle_equivalences():
 
     elapsed = time.time() - t0
     assert elapsed < 60.0
-    _announce(5, f"oracle equivalences over 1000-sample suites ({elapsed:.1f}s)")
+    _announce(5, f"oracle equivalences, exact identities and 1000-sample suites ({elapsed:.1f}s)")
 
 
 def test_criterion_6_structural_invariants():

@@ -220,9 +220,11 @@ def test_eval_rejects_non_finite_coefficients(capsys, bad):
 
 @pytest.mark.parametrize("bad", NON_FINITE)
 def test_eval_rejects_non_finite_tau(capsys, bad):
-    for taus in ((bad, "0", "0"), ("0", bad, "0"), ("0", "0", bad)):
-        code, out, _ = run(capsys, "eval", "H21_log", "--tau", *taus)
+    # named as not finite, not as out of range
+    for i, taus in enumerate(((bad, "0", "0"), ("0", bad, "0"), ("0", "0", bad))):
+        code, out, err = run(capsys, "eval", "H21_log", "--tau", *taus)
         assert code == 2 and out == "", taus
+        assert f"tau{i + 1} must be finite, got '{bad}'" in err, taus
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
@@ -605,6 +607,18 @@ def test_lemma_readme_examples_print_and_report(tmp_path, capsys, argv, lines, k
     results = json.loads(path.read_text())["results"]
     assert results.keys() == keys
     assert results["lemma"] == argv[0]
+
+
+@pytest.mark.parametrize("argv", [("--oracle", "1/4", "0"), ("1/4", "0", "--oracle"),
+                                  ("--oracle", "0.9", "0.95")])
+def test_lemma_l24_refuses_an_oracle(tmp_path, capsys, argv):
+    # its check is itself a scan: --oracle would add nothing, so it is refused,
+    # before the check runs and before a report is written
+    path = tmp_path / "lemma.json"
+    code, out, err = run(capsys, "lemma", "L24", *argv, "--json", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: lemma L24 takes no --oracle: its check is its own scan\n"
+    assert not path.exists()
 
 
 def test_lemma_l24_hypothesis_violation(capsys):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from coeffsharp import lemmas
 from coeffsharp._search import tau1_argmax
 from coeffsharp.caratheodory import CaratheodoryPoint, coeffs_from_point
 from coeffsharp.lemmas import (
@@ -30,8 +31,10 @@ from coeffsharp.lemmas import (
     _Y_ROUNDS,
     _Y_SHRINK,
     _cos_quadratic,
-    _lemma24_form,
+    _horner,
+    _lemma24_rows,
     _pow2_normalized,
+    _tau1_polynomials,
     _y_radius_profile,
 )
 
@@ -661,21 +664,50 @@ L24_DENSE_TAU2 = polar_grid(31, 120)
 L24_CIRCLE = np.exp(1j * np.linspace(0.0, 2 * np.pi, 144, endpoint=False))
 
 
+def lemma24_form(B, D, t1):
+    """(A, B', C, W) of c3 - 2B c1 c2 + D c1^3 at tau1, from the rows that
+    lemma24_check weights and scans."""
+    c3, c1c2, c1_cubed = _lemma24_rows()
+    return _horner((c3 - 2.0 * B * c1c2 + D * c1_cubed).T, t1)
+
+
 def test_lemma24_profile_matches_dense_tau2_tau3_scan():
     rng = np.random.default_rng(24)
     cases = [(*lemma24_weights(rng), float(rng.uniform(0.0, 1.0))) for _ in range(40)]
     cases += [(*lemma24_weights(rng), t1) for t1 in (0.0, 1.0, 0.5)]
     for B, D, t1 in cases:
         # the profile lemma24_check scans, at one tau1
-        profile = float(form_max(*_lemma24_form(B, D, np.array([t1])))[0])
+        profile = float(form_max(*lemma24_form(B, D, t1)[:, None])[0])
         brute = float(lemma24_dense(B, D, t1, L24_DENSE_TAU2, L24_CIRCLE).max())
         assert profile >= brute - 1e-12, (B, D, t1, profile, brute)
         # the profile is attained: its maximizer reproduces it, so it does not
         # exceed the true maximum either
-        tau2, tau3 = form_argmax(*_lemma24_form(B, D, t1))
+        tau2, tau3 = form_argmax(*lemma24_form(B, D, t1).tolist())
         c = coeffs_from_point(CaratheodoryPoint(t1, tau2, tau3))
         at_value = abs(c.c3 - 2 * B * c.c1 * c.c2 + D * c.c1 ** 3)
         assert abs(at_value - profile) <= 1e-12, (B, D, t1, at_value, profile)
+
+
+def test_lemma24_rows_are_the_exact_tau1_rows_of_its_terms():
+    # with u = 1 - tau1^2: c3 = 2 tau1^3 + 4 u tau1 tau2 - 2 u tau1 tau2^2
+    # + 2 u (1 - |tau2|^2) tau3, c1 c2 = 4 tau1^3 + 4 u tau1 tau2 and c1^3 = 8 tau1^3
+    exact = [_tau1_polynomials(term)
+             for term in (lambda c: c.c3, lambda c: c.c1 * c.c2, lambda c: c.c1 ** 3)]
+    assert exact == [((2, 0, 0, 0), (-4, 0, 4, 0), (2, 0, -2, 0), (-2, 0, 2)),
+                     ((4, 0, 0, 0), (-4, 0, 4, 0), (0,), (0,)),
+                     ((8, 0, 0, 0), (0,), (0,), (0,))]
+    assert all(type(c) is Fraction for rows in exact for p in rows for c in p)
+    padded = [[[0.0] * (4 - len(p)) + [float(c) for c in p] for p in rows] for rows in exact]
+    assert _lemma24_rows().tolist() == padded
+
+
+def test_a_warm_lemma24_check_maps_no_point(monkeypatch):
+    lemma24_check(0.25, 0.0)  # derives the rows, once per process
+    calls = []
+    for name in ("c12", "c3_parts"):
+        monkeypatch.setattr(lemmas, name, lambda *args: calls.append(args))
+    assert lemma24_check(0.5, 0.1).passed
+    assert calls == []
 
 
 def test_lemma24_check_matches_dense_scan_and_reports_its_maximizer():

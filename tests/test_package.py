@@ -123,9 +123,11 @@ def test_lemma_still_imports_numpy():
 
 
 DERIVE_ALL = """
-from coeffsharp.verifier import THEOREMS, _tau1_polynomials
+from coeffsharp.functionals import _FUNCTIONALS
+from coeffsharp.lemmas import _tau1_polynomials
+from coeffsharp.verifier import THEOREMS
 names = {n for th in THEOREMS.values() for n in (th.modulus, th.offset) if n}
-assert len(names) == 7 and all(_tau1_polynomials(n) for n in names)
+assert len(names) == 7 and all(_tau1_polynomials(_FUNCTIONALS[n][1]) for n in names)
 """
 
 

@@ -9,10 +9,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from coeffsharp import verifier
+from coeffsharp import lemmas, verifier
 from coeffsharp.caratheodory import CaratheodoryPoint, c3_parts, c12, coeffs_from_point
 from coeffsharp.functionals import _FUNCTIONALS, evaluate_functional
-from coeffsharp.lemmas import form_max, form_tau3
+from coeffsharp.lemmas import _horner, form_max, form_tau3
 from coeffsharp.verifier import (
     EXCEED_TOL,
     REFINEMENT_ROUNDS_MAX,
@@ -22,7 +22,6 @@ from coeffsharp.verifier import (
     Bound,
     SearchConfig,
     Theorem,
-    _tau1_polynomials,
     sharpness_witness,
     verify,
     verify_all,
@@ -48,11 +47,16 @@ DENSE_TAU3 = (np.linspace(0.0, 1.0, 41)[:, None]
 TAU3_GRID_SLACK = 1.0 - math.cos(math.pi / TAU3_ANGLES)
 
 
+def derived(name):
+    """The exact tau1 polynomials (A, B, C, W) of a functional's closed form."""
+    return lemmas._tau1_polynomials(_FUNCTIONALS[name][1])
+
+
 def polyval_rows(th, t1):
     """A, B, C, W and the offset (0 without one) at t1, each by ``np.polyval``
     of its derived polynomial: the oracle of the stacked Horner pass."""
-    polys = _tau1_polynomials(th.modulus)
-    offset = (0,) if th.offset is None else _tau1_polynomials(th.offset)[0]
+    polys = derived(th.modulus)
+    offset = (0,) if th.offset is None else derived(th.offset)[0]
     return [np.polyval([float(c) for c in p], t1) for p in (*polys, offset)]
 
 
@@ -250,8 +254,8 @@ def test_profile_matches_dense_tau2_scan(theorem_id):
 @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
 def test_theorems_keep_only_their_nonzero_rows(theorem_id):
     th, three = THEOREMS[theorem_id], theorem_id in THREE_PARAM
-    A, B, C, W = _tau1_polynomials(th.modulus)
-    offset = () if th.offset is None else _tau1_polynomials(th.offset)
+    A, B, C, W = derived(th.modulus)
+    offset = () if th.offset is None else derived(th.offset)
     # C and W of the 2-parameter targets and an offset's rows past A are exact zeros
     zeros = [*offset[1:], *(() if three else (C, W))]
     assert all(type(c) is F and c == 0 for p in zeros for c in p)
@@ -298,21 +302,21 @@ RECORDED_TAU1_POLYNOMIALS = {
 def fresh_derivation():
     """Clears the derivation's caches before and after a test, so a patched
     closed form is derived afresh and leaves no trace."""
-    _tau1_polynomials.cache_clear()
-    verifier._coeffs_on_tau1.cache_clear()
+    lemmas._tau1_polynomials.cache_clear()
+    lemmas._coeffs_on_tau1.cache_clear()
     yield
-    _tau1_polynomials.cache_clear()
-    verifier._coeffs_on_tau1.cache_clear()
+    lemmas._tau1_polynomials.cache_clear()
+    lemmas._coeffs_on_tau1.cache_clear()
 
 
 def test_tau1_polynomials_are_the_recorded_fractions(monkeypatch, fresh_derivation):
     read = {th.modulus for th in THEOREMS.values()} | {th.offset for th in THEOREMS.values()}
     assert read - {None} == RECORDED_TAU1_POLYNOMIALS.keys()
     calls = []
-    map_c3 = verifier.c3_parts
-    monkeypatch.setattr(verifier, "c3_parts", lambda *a: calls.append(a) or map_c3(*a))
+    map_c3 = lemmas.c3_parts
+    monkeypatch.setattr(lemmas, "c3_parts", lambda *a: calls.append(a) or map_c3(*a))
     for name, want in RECORDED_TAU1_POLYNOMIALS.items():
-        got = _tau1_polynomials(name)
+        got = derived(name)
         assert all(type(c) is F for p in got for c in p), name
         assert got == tuple(tuple(F(c) for c in p) for p in want), name
     # the 4 (tau2, tau3) samples and the check point, each mapped once and
@@ -323,16 +327,19 @@ def test_tau1_polynomials_are_the_recorded_fractions(monkeypatch, fresh_derivati
 def test_tau1_polynomials_are_exact_past_degree_four(monkeypatch, fresh_derivation):
     # c1 = 2 tau1, so c1^5 / 32 is tau1^5: no degree bound is assumed
     monkeypatch.setitem(_FUNCTIONALS, "gamma1", (1, lambda c: c.c1 ** 5 / 32))
-    A, B, C, W = _tau1_polynomials("gamma1")
+    A, B, C, W = derived("gamma1")
     assert all(type(c) is F for p in (A, B, C, W) for c in p)
     assert (A, B, C, W) == ((1, 0, 0, 0, 0, 0), (0,), (0,), (0,))
 
 
 def test_tau1_polynomials_refuse_a_form_outside_the_shape(monkeypatch, fresh_derivation):
     # c3^2 is quadratic in tau3, so the check point (1/2, 1/2) tells it apart
-    monkeypatch.setitem(_FUNCTIONALS, "gamma3", (3, lambda c: c.c3 * c.c3))
-    with pytest.raises(ValueError, match=r"gamma3 is not A \+ B tau2"):
-        _tau1_polynomials("gamma3")
+    def c3_squared(c):
+        return c.c3 * c.c3
+
+    monkeypatch.setitem(_FUNCTIONALS, "gamma3", (3, c3_squared))
+    with pytest.raises(ValueError, match=r"c3_squared is not A \+ B tau2"):
+        derived("gamma3")
 
 
 @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
@@ -350,7 +357,7 @@ def test_stacked_horner_is_polyval_bit_for_bit(theorem_id):
     assert th.profile(t1).tobytes() == (th.sign * (modulus - np.abs(offset))).tobytes()
     # the scalar rows that maximizer reads
     for t in (0.0, 1.0, 0.5, *t1[1::97].tolist(), math.sqrt(2 / 11)):
-        at = verifier._horner(th._rows.T, t).tolist()
+        at = _horner(th._rows.T, t).tolist()
         assert [v.hex() for v in at] == [float(np.polyval(r, t)).hex() for r in th._rows], t
         assert [v.hex() for v in at] == [float(np.polyval(r, np.array([t]))[0]).hex()
                                          for r in th._rows]
