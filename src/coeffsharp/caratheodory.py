@@ -10,8 +10,9 @@ with ``tau1 in [0, 1]`` and ``tau2, tau3`` in the closed unit disk:
          + 2 (1 - tau1^2) (1 - |tau2|^2) tau3
 
 On each boundary stratum the representing function is a unique rational
-map, exposed here as a truncated series.  The bridge ``omega = (p-1)/(p+1)``
-turns any such ``p`` into a Schwarz function.
+map, built by one Schur recursion as a truncated series: exact over rational
+triples, complex doubles otherwise (the three surd witnesses among them).
+The bridge ``omega = (p-1)/(p+1)`` turns any such ``p`` into a Schwarz function.
 """
 
 from __future__ import annotations
@@ -131,44 +132,33 @@ def coeffs_from_point(pt: CaratheodoryPoint) -> SchwarzCoeffs:
     return c
 
 
-def _on_circle(x) -> bool:
-    return abs(float(mag_squared(x)) - 1.0) <= 3 * TAU_BOUNDARY_TOL
-
-
 def extremal_p_series(pt: CaratheodoryPoint, order: int) -> TruncatedSeries:
     """Series of the unique representing function for a boundary triple.
 
     The triple must sit on one of the three extremal strata: tau1 = 1, or
-    |tau2| = 1 with tau1 < 1, or |tau3| = 1 with tau1, |tau2| < 1.  Interior
-    triples have no unique representative and are rejected.
+    |tau2| = 1 with tau1 < 1, or |tau3| = 1 with tau1, |tau2| < 1; interior
+    triples have no unique representative and are rejected.  With tau_k the
+    first coordinate on the unit circle, Schur's step
+    ``f <- (z f + tau)/(1 + conj(tau) z f)`` (Schur, 1917) folds tau_{k-1}
+    .. tau1 into ``f = tau_k``, a numerator/denominator pair of degree at
+    most 3, and ``p = (1 + z f)/(1 - z f)``.  The scalar mode is inferred,
+    so a rational triple gives an exact series.
     """
-    t1 = complex(pt.tau1)
-    t2 = complex(pt.tau2)
-    t3 = complex(pt.tau3)
-    if _on_circle(pt.tau1):
-        num = [1, t1]
-        den = [1, -t1]
-    elif _on_circle(t2):
-        num = [1, t1.conjugate() * t2 + t1, t2]
-        den = [1, t1.conjugate() * t2 - t1, -t2]
-    elif _on_circle(t3):
-        num = [
-            1,
-            t2.conjugate() * t3 + t1.conjugate() * t2 + t1,
-            t1.conjugate() * t3 + t1 * t2.conjugate() * t3 + t2,
-            t3,
-        ]
-        den = [
-            1,
-            t2.conjugate() * t3 + t1.conjugate() * t2 - t1,
-            t1.conjugate() * t3 - t1 * t2.conjugate() * t3 - t2,
-            -t3,
-        ]
-    else:
+    taus = (pt.tau1, pt.tau2, pt.tau3)
+    circle = [abs(float(mag_squared(t)) - 1.0) <= 3 * TAU_BOUNDARY_TOL for t in taus]
+    if not any(circle):
         raise ValueError(
             "no unique representing function: the triple lies in the interior of every stratum"
         )
-    return series_div(series(num, order=order), series(den, order=order))
+    k = circle.index(True)
+    num, den = [taus[k]], [1]
+    for t in reversed(taus[:k]):
+        zf, den = [0, *num], den + [0]  # z f over den, both one degree longer
+        num = [a + t * b for a, b in zip(zf, den)]
+        den = [b + t.conjugate() * a for a, b in zip(zf, den)]
+    zf, den = [0, *num], den + [0]
+    return series_div(series([b + a for a, b in zip(zf, den)], order=order),
+                      series([b - a for a, b in zip(zf, den)], order=order))
 
 
 def schwarz_from_p(p: TruncatedSeries) -> TruncatedSeries:

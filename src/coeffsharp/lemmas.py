@@ -451,9 +451,12 @@ def lemma24_check(B: float, D: float) -> Lemma24Report:
     tau1 scanned at 21 points of [0, 1] by one stacked Horner pass.
     ``at`` holds the maximizing triple, (tau2, tau3) exactly.
 
-    Requires the hypothesis 0 <= B <= 1 and B(2B - 1) <= D <= B; anything
-    else is rejected.
+    Requires finite B and D with the hypothesis 0 <= B <= 1 and
+    B(2B - 1) <= D <= B; anything else is rejected.
     """
+    for name, v in (("B", B), ("D", D)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite")
     if not (0 <= B <= 1):
         raise ValueError("hypothesis violated: need 0 <= B <= 1")
     if not (B * (2 * B - 1) <= D <= B):

@@ -111,8 +111,9 @@ class TruncatedSeries:
         for c in self.coeffs:
             if not isinstance(c, want):
                 raise ValueError(f"{self.mode}-mode series holds foreign scalar {c!r}")
-            if want is complex and not cmath.isfinite(c):
-                raise ValueError("complex-mode coefficients must be finite")
+            if want is complex and not cmath.isfinite(c):  # inputs are checked in _coerce
+                raise ValueError(f"complex-mode coefficient of z^{self.coeffs.index(c)} is not "
+                                 "finite: the series overflows the float range")
 
     @property
     def order(self) -> int:
@@ -123,13 +124,6 @@ class TruncatedSeries:
         if not 0 <= order <= self.order:
             raise ValueError(f"cannot truncate order-{self.order} series to {order}")
         return TruncatedSeries(self.coeffs[: order + 1], self.mode)
-
-    def extended(self, order: int) -> "TruncatedSeries":
-        """Reinterpret the series as a polynomial of higher truncation order."""
-        if order < self.order:
-            raise ValueError("extended() cannot lower the order; use truncate()")
-        pad = (_coerce(0, self.mode),) * (order - self.order)
-        return TruncatedSeries(self.coeffs + pad, self.mode)
 
     def evaluate(self, z):
         """Horner evaluation of the truncated polynomial at a scalar point."""
@@ -423,7 +417,7 @@ def starlike_from_schwarz(omega: TruncatedSeries, order: int) -> TruncatedSeries
                 g[j] += w
         e = _exp_rational([(j, x) for j, x in enumerate(g) if j and x], order - 1)
         return TruncatedSeries((_ZERO,) + e[:order], RATIONAL)  # at order 0 no e_k is kept
-    om = omega.extended(order) if omega.order < order else omega.truncate(order)
+    om = series(omega.coeffs, order=order, mode=omega.mode)
     e = exp_series(antiderivative_over_t(om + cosh_series(om) - 1))
     return TruncatedSeries((0j,) + e.coeffs[:-1], COMPLEX)
 

@@ -2,8 +2,9 @@
 one definition of each formula.
 
 The a -> gamma chain: the Taylor coefficients a2..a4 of f from c1..c3, then
-the logarithmic coefficients of f and of its inverse from a2..a4.  The
-library writes each gamma_n and Gamma_n directly as a polynomial in c1..c3.
+the logarithmic coefficients of f and of its inverse from a2..a4, and every
+functional from those.  The library writes each gamma_n and Gamma_n directly
+as a polynomial in c1..c3.
 
 The paper's scalar case profiles of the Hankel maximization, kept as
 cross-checks of the profiles the verifier derives.
@@ -87,6 +88,19 @@ def inverse_from_a(a: TaylorCoeffs) -> InverseCoeffs:
     G2 = -(a3 - 3 * a2 * a2 / 2) / 2
     G3 = -(a4 - 4 * a2 * a3 + 10 * a2 ** 3 / 3) / 2
     return InverseCoeffs(A2, A3, A4, G1, G2, G3)
+
+
+def chain_functionals(a: TaylorCoeffs) -> dict:
+    """Each functional of ``FUNCTIONAL_NAMES`` through the a -> gamma chain."""
+    g, inv = gamma_from_a(a), inverse_from_a(a)
+    return {
+        "gamma1": g.gamma1, "gamma2": g.gamma2, "gamma3": g.gamma3,
+        "Gamma1": inv.Gamma1, "Gamma2": inv.Gamma2,
+        "H21_log": g.gamma1 * g.gamma3 - g.gamma2 ** 2,
+        "H21_log_inverse": inv.Gamma1 * inv.Gamma3 - inv.Gamma2 ** 2,
+        "diff_gamma": abs(g.gamma2) - abs(g.gamma1),
+        "diff_Gamma": abs(inv.Gamma2) - abs(inv.Gamma1),
+    }
 
 
 #: positive root of 101 t^4 + 148 t^2 - 60, where the fallback branch of the

@@ -267,8 +267,25 @@ def test_extremal_series_surd_stratum():
 
 
 def test_extremal_series_rejects_interior():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="interior of every stratum"):
         extremal_p_series(CaratheodoryPoint(0.5, 0.5, 0.5), 4)
+    with pytest.raises(ValueError, match="interior of every stratum"):
+        extremal_p_series(CaratheodoryPoint(F(1, 2), F(1, 2), F(-1, 2)), 4)
+
+
+@pytest.mark.parametrize("taus", [
+    (F(1), F(1, 2), F(-1, 3)),       # tau1 = 1
+    (F(1, 3), F(-1), F(1, 2)),       # |tau2| = 1
+    (F(1, 2), F(-1, 3), F(-1)),      # |tau3| = 1
+    (F(2, 7), F(3, 5), F(1)),
+])
+def test_extremal_series_exact_on_rational_strata(taus):
+    # a rational boundary triple gives an exact p whose c1..c3 are the map's
+    pt = CaratheodoryPoint(*taus)
+    p = extremal_p_series(pt, 6)
+    c = coeffs_from_point(pt)
+    assert p.mode == "rational" and p.coeffs[0] == 1
+    assert p.coeffs[1:4] == (c.c1, c.c2, c.c3)
 
 
 @pytest.mark.parametrize("pt", [

@@ -235,6 +235,14 @@ def test_lemma_l41_rejects_non_finite(capsys, bad):
             assert code == 2 and out == "" and "finite" in err, (side, params)
 
 
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_lemma_l24_rejects_non_finite(capsys, bad):
+    # named as not finite, not as outside the hypothesis
+    for params in ((bad, "0"), ("1/2", bad)):
+        code, out, err = run(capsys, "lemma", "L24", "--", *params)
+        assert code == 2 and out == "" and "finite" in err, params
+
+
 @pytest.mark.parametrize("argv", [
     ("Y", "1e308", "1e308", "1e308"),
     ("L23", "1e308", "--oracle"),
@@ -347,6 +355,15 @@ def test_series_coefficients_without_text_exit_two(tmp_path, capsys, fmt, omega1
     assert code == 2 and out == "" and not path.exists()
     assert err == f"error: {message}" + ("; use --format frac\n" if fmt == "dec" else "\n")
     assert "set_int_max_str_digits" not in err
+
+
+def test_series_overflow_names_the_computation(capsys):
+    # a finite float omega whose cosh overflows: the series is blamed, not the input
+    code, out, err = run(capsys, "series", "custom-omega", "--omega", "0", "1e308",
+                         "--order", "3", "--format", "dec")
+    assert code == 2 and out == ""
+    assert err == ("error: complex-mode coefficient of z^2 is not finite: "
+                   "the series overflows the float range\n")
 
 
 def test_manifest_refuses_non_finite_json(tmp_path):

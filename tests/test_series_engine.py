@@ -54,9 +54,10 @@ def test_rational_mode_rejects_floats():
 
 
 def test_complex_mode_rejects_nonfinite():
-    with pytest.raises(ValueError):
+    # an input is named as such; an overflow names the series (below)
+    with pytest.raises(ValueError, match="complex-mode coefficients must be finite"):
         series([float("nan")])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="complex-mode coefficients must be finite"):
         series([complex(1, float("inf"))])
 
 
@@ -330,7 +331,7 @@ def dense_cosh_series(a):
 def dense_starlike(omega, order):
     """z * exp(...) as the dense series product of monomial(1) and the exponential
     of the antiderivative of the integrand, built with the dense cosh."""
-    om = omega.extended(order) if omega.order < order else omega.truncate(order)
+    om = series(omega.coeffs, order=order, mode=omega.mode)
     s = antiderivative_over_t(om + dense_cosh_series(om) - 1)
     return monomial(1, order, mode=om.mode) * dense_exp_series(s)
 
@@ -410,10 +411,12 @@ def test_exp_series_matches_the_dense_recurrence(mode):
     for a in seeded + edge_drivers(mode):
         outcomes.append(exp_outcome(exp_series, a))
         assert outcomes[-1] == exp_outcome(dense_exp_series, a), a
-    # the two drivers whose weights overflow are rejected by both routes
+    # the two drivers whose weights overflow are rejected by both routes, at
+    # the degree of the overflowing weight
     raised = [o for o in outcomes if o.startswith("ValueError")]
-    assert raised == ["ValueError: complex-mode coefficients must be finite"] * (
-        2 if mode == COMPLEX else 0)
+    assert raised == [f"ValueError: complex-mode coefficient of z^{k} is not finite: "
+                      "the series overflows the float range"
+                      for k in ((2, 3) if mode == COMPLEX else ())]
     if mode == RATIONAL:
         # the integer sum over a common denominator, where the denominators of
         # the terms of one coefficient differ; reduced Fractions are canonical,

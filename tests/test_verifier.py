@@ -10,9 +10,17 @@ import numpy as np
 import pytest
 
 from coeffsharp import lemmas, verifier
-from coeffsharp.caratheodory import CaratheodoryPoint, c3_parts, c12, coeffs_from_point
+from coeffsharp.caratheodory import (
+    CaratheodoryPoint,
+    c3_parts,
+    c12,
+    coeffs_from_point,
+    extremal_p_series,
+    schwarz_from_p,
+)
 from coeffsharp.functionals import _FUNCTIONALS, evaluate_functional
 from coeffsharp.lemmas import _horner, form_max, form_tau3
+from coeffsharp.series_engine import starlike_from_schwarz
 from coeffsharp.verifier import (
     EXCEED_TOL,
     REFINEMENT_ROUNDS_MAX,
@@ -27,7 +35,7 @@ from coeffsharp.verifier import (
     verify_all,
 )
 
-from case_profiles import TAU_SPLIT, Psi
+from case_profiles import TAU_SPLIT, Psi, TaylorCoeffs, chain_functionals
 
 COARSE = SearchConfig(grid_tau1=13, grid_r=5, grid_theta=8, refinement_rounds=2)
 
@@ -393,6 +401,21 @@ def test_witness_diff_upper_exact():
     for theorem_id in ("diff_gamma_upper", "diff_Gamma_upper"):
         _, fv = sharpness_witness(theorem_id)
         assert fv.value == F(1, 4)
+
+
+@pytest.mark.parametrize("theorem_id", ["gamma1", "gamma2", "gamma3", "H21_log", "Gamma1",
+                                        "Gamma2", "diff_gamma_upper", "diff_Gamma_upper"])
+def test_extremal_function_at_witness_attains_the_bound_exactly(theorem_id):
+    # witness -> p -> omega -> f -> a2..a4 -> gamma/Gamma, exactly, as the paper
+    # shows sharpness: by building the extremal function
+    th = THEOREMS[theorem_id]
+    assert all(type(t) is F for t in th.witness)
+    p = extremal_p_series(CaratheodoryPoint(*th.witness), 4)
+    f = starlike_from_schwarz(schwarz_from_p(p), 4)
+    assert p.mode == f.mode == "rational"
+    chain = chain_functionals(TaylorCoeffs(*f.coeffs[2:5]))
+    value = abs(chain[th.modulus]) - (abs(chain[th.offset]) if th.offset else 0)
+    assert type(value) is F and value == F(th.bound.expr)
 
 
 def test_witness_surd_values():
