@@ -141,11 +141,11 @@ def extremal_p_series(pt: CaratheodoryPoint, order: int) -> TruncatedSeries:
     first coordinate on the unit circle, Schur's step
     ``f <- (z f + tau)/(1 + conj(tau) z f)`` (Schur, 1917) folds tau_{k-1}
     .. tau1 into ``f = tau_k``, a numerator/denominator pair of degree at
-    most 3, and ``p = (1 + z f)/(1 - z f)``.  The scalar mode is inferred,
-    so a rational triple gives an exact series.
+    most 3, and ``p = (1 + z f)/(1 - z f)``.  A rational tau is on the circle
+    only if |tau| = 1 exactly, and a rational triple gives an exact series.
     """
     taus = (pt.tau1, pt.tau2, pt.tau3)
-    circle = [abs(float(mag_squared(t)) - 1.0) <= 3 * TAU_BOUNDARY_TOL for t in taus]
+    circle = [abs(mag_squared(t) - 1) <= (3 * TAU_BOUNDARY_TOL, 0)[isinstance(t, Rational)] for t in taus]
     if not any(circle):
         raise ValueError(
             "no unique representing function: the triple lies in the interior of every stratum"

@@ -102,11 +102,14 @@ class PsiInput:
 
 
 def _y_pieces(A: float, B: float, C: float):
+    """``(Y, branch, s, r)``: every branch but ``R.sqrt`` peaks at the real point
+    ``sgn(s) sgn(B) r``, with ``B z`` of the sign of the term s it adds to;
+    ``R.sqrt`` peaks on the unit circle off the real axis, with s = r = None."""
     a, b, c = abs(A), abs(B), abs(C)
     if not (A < 0 < C or C < 0 < A):  # by the signs: A*C can underflow to -0.0
         if b >= 2 * (1 - c):
-            return a + b + c, "i.sum"
-        return 1 + a + b * b / (4 * (1 - c)), "i.parabola"
+            return a + b + c, "i.sum", A or C, 1
+        return 1 + a + b * b / (4 * (1 - c)), "i.parabola", A or C, b / (2 * (1 - c))
     # A and C have opposite signs from here on, so a, c > 0, and -4AC(1/C^2 - 1)
     # is formed from a/c: 4AC and C*C underflow and overflow long before it does.
     inner = 4 * (a / c) * (1 - c) * (1 + c)
@@ -116,25 +119,25 @@ def _y_pieces(A: float, B: float, C: float):
     if wide and minus:
         _check_decided(inner, bb)
     if inner <= bb and minus:
-        return 1 - a + b * b / (4 * (1 - c)), "ii.parabola-minus"
+        return 1 - a + b * b / (4 * (1 - c)), "ii.parabola-minus", C, b / (2 * (1 - c))
     low = min(outer, inner)
     if wide:
         _check_decided(bb, low)
     if bb < low:
-        return 1 + a + b * b / (4 * (1 + c)), "ii.parabola-plus"
+        return 1 + a + b * b / (4 * (1 + c)), "ii.parabola-plus", A, b / (2 * (1 + c))
     # 4ac <= (a - c) b and 4ac <= (c - a) b, divided by a and by c: no 4a is
     # added to a b that absorbs it, and neither side can overflow
     if a > c and 4 * c <= (a - c) / a * b:
-        return a + b - c, "R.drop-c"
+        return a + b - c, "R.drop-c", A, 1
     if c > a and 4 * a <= (c - a) / c * b:
-        return -a + b + c, "R.drop-a"
+        return -a + b + c, "R.drop-a", C, 1
     if wide:  # 4*A*C may overflow
-        return _wide_sqrt(a, b, c), "R.sqrt"
+        return _wide_sqrt(a, b, c), "R.sqrt", None, None
     four_ac = 4 * A * C
     value = (c + a) * math.sqrt(1 - bb / four_ac) if four_ac else math.inf
     if value == math.inf:  # 4AC underflowed to -0.0, or b^2/(4AC) overflowed; Y may not
         value = _wide_sqrt(a, b, c)
-    return value, "R.sqrt"
+    return value, "R.sqrt", None, None
 
 
 def _wide_sqrt(a: float, b: float, c: float) -> float:
@@ -175,9 +178,9 @@ def y_closed_form(yin: YInput) -> float:
 
 def y_branch(yin: YInput) -> str:
     """Label of the piecewise branch the closed form takes."""
-    value, branch = _y_pieces(yin.A, yin.B, yin.C)
-    _finite(value)
-    return branch
+    pieces = _y_pieces(yin.A, yin.B, yin.C)
+    _finite(pieces[0])
+    return pieces[1]
 
 
 def _sgn(x: float) -> float:
@@ -185,28 +188,13 @@ def _sgn(x: float) -> float:
 
 
 def _y_argmax(A: float, B: float, C: float) -> complex:
-    """A point of the closed disk where |A + B z + C z^2| + 1 - |z|^2 attains Y.
-
-    ``R.sqrt`` peaks on the unit circle off the real axis.  Every other
-    branch peaks on the real axis, at the radius r where its terms line up:
-    ``s * sgn(B) * r``, with ``B z`` of the sign ``s`` of the term it adds to.
-    """
-    a, b, c = abs(A), abs(B), abs(C)
-    branch = _y_pieces(A, B, C)[1]
-    if branch == "R.sqrt":
+    """A point of the closed disk where |A + B z + C z^2| + 1 - |z|^2 attains Y:
+    the real point its branch of :func:`_y_pieces` gives, or on ``R.sqrt``
+    :func:`_circle_argmax`."""
+    _, _, s, r = _y_pieces(A, B, C)
+    if r is None:
         return _circle_argmax(A, B, C)
-    if branch in ("i.sum", "i.parabola"):  # A and C share the sign s
-        s = _sgn(A if A != 0 else C)
-        r = 1.0 if branch == "i.sum" else b / (2 * (1 - c))
-    elif branch == "ii.parabola-minus":
-        s, r = _sgn(C), b / (2 * (1 - c))
-    elif branch == "ii.parabola-plus":
-        s, r = _sgn(A), b / (2 * (1 + c))
-    elif branch == "R.drop-c":
-        s, r = _sgn(A), 1.0
-    else:  # R.drop-a
-        s, r = _sgn(C), 1.0
-    return complex(s * _sgn(B) * r)
+    return complex(_sgn(s) * _sgn(B) * r)
 
 
 def y_argmax(yin: YInput) -> complex:

@@ -203,9 +203,8 @@ def series(values, order: int | None = None, mode: str | None = None) -> Truncat
     return TruncatedSeries(tuple(_coerce(v, mode) for v in vals), mode)
 
 
-def monomial(degree: int, order: int | None = None, mode: str = RATIONAL,
-             coefficient=1) -> TruncatedSeries:
-    """The series ``coefficient * z**degree`` truncated at ``order``."""
+def monomial(degree: int, order: int | None = None, mode: str = RATIONAL) -> TruncatedSeries:
+    """The series ``z**degree`` truncated at ``order``."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if order is None:
@@ -213,7 +212,7 @@ def monomial(degree: int, order: int | None = None, mode: str = RATIONAL,
     if order < degree:
         raise ValueError(f"order {order} cannot hold degree-{degree} monomial")
     vals = [0] * (order + 1)
-    vals[degree] = coefficient
+    vals[degree] = 1
     return series(vals, mode=mode)
 
 

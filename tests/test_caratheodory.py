@@ -271,6 +271,9 @@ def test_extremal_series_rejects_interior():
         extremal_p_series(CaratheodoryPoint(0.5, 0.5, 0.5), 4)
     with pytest.raises(ValueError, match="interior of every stratum"):
         extremal_p_series(CaratheodoryPoint(F(1, 2), F(1, 2), F(-1, 2)), 4)
+    # within the float tolerance of the circle, but a rational tau2 is on it only exactly
+    with pytest.raises(ValueError, match="interior of every stratum"):
+        extremal_p_series(CaratheodoryPoint(0, 1 - F(1, 10**13), F(1, 2)), 4)
 
 
 @pytest.mark.parametrize("taus", [

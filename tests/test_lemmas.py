@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -467,6 +468,41 @@ def test_y_argmax_attains_the_closed_form_on_every_branch():
         got = disk_objective(yin.A, yin.B, yin.C, z)
         assert abs(got - y_closed_form(yin)) <= 1e-12, (yin, y_branch(yin), got)
     assert set(seen) == {b for _, b, _ in BRANCH_EXEMPLARS}
+
+
+def y_rational_inputs(rng, n):
+    """n small rational triples from each of two regimes: a box of ratios, and
+    a tiny |A| against an opposite-sign C (the minus parabola)."""
+    def ratio():
+        return Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+
+    out = []
+    for _ in range(n):
+        out.append((ratio(), ratio(), ratio()))
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(4, 19), 20)
+        out.append((-c * Fraction(rng.randint(1, 5), 100), Fraction(rng.randint(-10, 10), 10), c))
+    return out
+
+
+def test_y_pieces_place_each_real_maximizer_exactly():
+    # over rationals, every branch but R.sqrt attains its Y exactly at the real
+    # point sgn(s) sgn(B) r of the closed disk that the ladder returns with it
+    def sgn(x):
+        return -1 if x < 0 else 1
+
+    inputs = [tuple(map(Fraction, (yin.A, yin.B, yin.C))) for yin, _, _ in BRANCH_EXEMPLARS]
+    inputs += y_rational_inputs(random.Random(30), 60)
+    seen = Counter()
+    for A, B, C in inputs:
+        value, branch, s, r = lemmas._y_pieces(A, B, C)
+        if r is None:
+            continue
+        seen[branch] += 1
+        z = sgn(s) * sgn(B) * r
+        assert abs(z) <= 1, (A, B, C, branch, z)
+        assert abs(A + B * z + C * z * z) + 1 - z * z == value, (A, B, C, branch, z)
+    assert set(seen) == {b for _, b, _ in BRANCH_EXEMPLARS} - {"R.sqrt"}
+    assert min(seen.values()) >= 3, seen
 
 
 def test_form_max_scales_y_and_takes_the_circle_limit():

@@ -358,7 +358,7 @@ def edge_drivers(mode):
     exponentials vanish outside the multiples of their degree.  In complex
     mode also signed zero parts, products that underflow to -0.0
     (1e-200 * -2e-200) and weights j*a_j that overflow."""
-    drivers = [monomial(n, 12, mode=mode, coefficient=-3) for n in (1, 2, 5)]
+    drivers = [series([0] * n + [-3], order=12, mode=mode) for n in (1, 2, 5)]
     if mode == COMPLEX:
         zeros = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
         drivers += [
