@@ -104,27 +104,31 @@ class PsiInput:
 def _y_pieces(A: float, B: float, C: float):
     """``(Y, branch, s, r)``: every branch but ``R.sqrt`` peaks at the real point
     ``sgn(s) sgn(B) r``, with ``B z`` of the sign of the term s it adds to;
-    ``R.sqrt`` peaks on the unit circle off the real axis, with s = r = None."""
+    ``R.sqrt`` peaks on the unit circle off the real axis, with s = r = None.
+    As the per-point kernel of :func:`form_max` it forms 1 - c, 1 + c and b^2
+    once; ``tests/data/y_golden.json`` pins it bit for bit."""
     a, b, c = abs(A), abs(B), abs(C)
+    cm = 1 - c
     if not (A < 0 < C or C < 0 < A):  # by the signs: A*C can underflow to -0.0
-        if b >= 2 * (1 - c):
+        if b >= 2 * cm:
             return a + b + c, "i.sum", A or C, 1
-        return 1 + a + b * b / (4 * (1 - c)), "i.parabola", A or C, b / (2 * (1 - c))
+        return 1 + a + b * b / (4 * cm), "i.parabola", A or C, b / (2 * cm)
     # A and C have opposite signs from here on, so a, c > 0, and -4AC(1/C^2 - 1)
     # is formed from a/c: 4AC and C*C underflow and overflow long before it does.
-    inner = 4 * (a / c) * (1 - c) * (1 + c)
-    bb, outer = b * b, 4 * (1 + c) * (1 + c)
-    wide = not (math.isfinite(bb) and math.isfinite(inner) and math.isfinite(outer))
-    minus = b < 2 * (1 - c)  # without it, inner and bb decide nothing
+    cp, bb = 1 + c, b * b
+    inner, outer = 4 * (a / c) * cm * cp, 4 * cp * cp
+    # bb, outer >= 0; a NaN fails every comparison, so it is wide too
+    wide = not (bb < math.inf and outer < math.inf and -math.inf < inner < math.inf)
+    minus = b < 2 * cm  # without it, inner and bb decide nothing
     if wide and minus:
         _check_decided(inner, bb)
     if inner <= bb and minus:
-        return 1 - a + b * b / (4 * (1 - c)), "ii.parabola-minus", C, b / (2 * (1 - c))
-    low = min(outer, inner)
+        return 1 - a + bb / (4 * cm), "ii.parabola-minus", C, b / (2 * cm)
+    low = inner if inner < outer else outer  # min(outer, inner), NaN and all
     if wide:
         _check_decided(bb, low)
     if bb < low:
-        return 1 + a + b * b / (4 * (1 + c)), "ii.parabola-plus", A, b / (2 * (1 + c))
+        return 1 + a + bb / (4 * cp), "ii.parabola-plus", A, b / (2 * cp)
     # 4ac <= (a - c) b and 4ac <= (c - a) b, divided by a and by c: no 4a is
     # added to a b that absorbs it, and neither side can overflow
     if a > c and 4 * c <= (a - c) / a * b:

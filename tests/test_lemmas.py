@@ -1,10 +1,12 @@
 """Piecewise maxima vs brute-force oracles; scalar case profiles."""
 
 import itertools
+import json
 import math
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -515,9 +517,10 @@ def test_form_max_scales_y_and_takes_the_circle_limit():
     for A, B, C in rng.uniform(-2, 2, size=(200, 3)).tolist():
         for W in (0.5, 3.0):
             want = W * y_closed_form(YInput(A / W, B / W, C / W))
-            # the form with weight -W peaks as high, with tau3 turned around
+            # the form with weight -W peaks as high, with tau3 turned around;
+            # the array route is the scalar one, bit for bit
             for w in (W, -W):
-                assert top(A, B, C, w) == pytest.approx(want, rel=1e-14)
+                assert top(A, B, C, w) == want, (A, B, C, w)
                 tau2, tau3 = form_argmax(A, B, C, w)
                 assert abs(disk_objective(A, B, C, tau2, W) - top(A, B, C, w)) <= 1e-12
                 at = A + B * tau2 + C * tau2 * tau2 + w * (1 - abs(tau2) ** 2) * tau3
@@ -530,25 +533,97 @@ def test_form_max_scales_y_and_takes_the_circle_limit():
         assert abs(abs(A + B * z + C * z * z) - top(A, B, C, 0.0)) <= 1e-12
 
 
+# (|A|, |C|) where the i.sum and i.parabola conditions meet, and where R.sqrt
+# meets R.drop-c and R.drop-a
+SEAM_SUM = ((0.5, 0.2), (1.5, 0.4), (2.0, 0.9))
+SEAM_DROP_C = ((5.0, 0.9), (3.0, 1.2))
+SEAM_DROP_A = ((0.3, 2.0), (0.1, 3.0))
+
+
 def test_y_seam_continuity():
     # branch pairs agree where their conditions meet
-    for a, c in ((0.5, 0.2), (1.5, 0.4), (2.0, 0.9)):
+    for a, c in SEAM_SUM:
         b = 2 * (1 - c)
         first = a + b + c
         second = 1 + a + b * b / (4 * (1 - c))
         assert first == pytest.approx(second, rel=1e-12)
     # |AB| = |C|(|B| + 4|A|) joins the sqrt fallback with the drop-c branch
-    for a, c in ((5.0, 0.9), (3.0, 1.2)):
+    for a, c in SEAM_DROP_C:
         b = 4 * a * c / (a - c)
         drop_c = a + b - c
         root = (c + a) * math.sqrt(1 + b * b / (4 * a * c))
         assert drop_c == pytest.approx(root, rel=1e-12)
     # |AB| = |C|(|B| - 4|A|) joins it with the drop-a branch
-    for a, c in ((0.3, 2.0), (0.1, 3.0)):
+    for a, c in SEAM_DROP_A:
         b = 4 * a * c / (c - a)
         drop_a = -a + b + c
         root = (c + a) * math.sqrt(1 + b * b / (4 * a * c))
         assert drop_a == pytest.approx(root, rel=1e-12)
+
+
+# --- the ladder, bit for bit -------------------------------------------------------
+
+Y_GOLDEN = Path(__file__).parent / "data" / "y_golden.json"
+# the command line's inputs past the float range (see the CI workflow), and
+# maxima past it, which y_closed_form rejects
+Y_EXTREMES = [(-1e-200, 1e-30, 1e-150), (-0.5, 1e17, 0.5), (1e300, -1e300, 1e300),
+              (-3e160, 2e160, 1e160), (-1e300, 0.0, 1e10), (-1.0, 0.0, 1e-200),
+              (1e308, 1e308, 1e308), (-1e308, 1e308, 1e308)]
+
+
+def y_golden_fixed_inputs():
+    """The inputs of y_golden.json that need no generator: the exemplars, the
+    sign grid, and every sign of the seam points (with the neighbouring |B|
+    on each side) and of the extremes."""
+    seams = [(a, 2 * (1 - c), c) for a, c in SEAM_SUM]
+    seams += [(a, 4 * a * c / (a - c), c) for a, c in SEAM_DROP_C]
+    seams += [(a, 4 * a * c / (c - a), c) for a, c in SEAM_DROP_A]
+    points = [(a, math.nextafter(b, to), c) for a, b, c in seams for to in (0.0, b, math.inf)]
+    points += [tuple(map(abs, abc)) for abc in Y_EXTREMES]
+    signs = list(itertools.product((1.0, -1.0), repeat=3))
+    out = [(yin.A, yin.B, yin.C) for yin, _, _ in BRANCH_EXEMPLARS] + SIGN_GRID
+    out += [(sa * a, sb * b, sc * c) for a, b, c in points for sa, sb, sc in signs]
+    return out
+
+
+def y_golden_record(A, B, C) -> list:
+    """``[A, B, C, value, branch, s, r]`` of ``_y_pieces(A, B, C)``, every float
+    as ``float.hex`` (so -0.0 keeps its sign) and an int as itself, or
+    ``[A, B, C, None, "raises: <message>", None, None]`` where it rejects."""
+    def enc(x):
+        return x if x is None or isinstance(x, int) else float.hex(x)
+
+    try:
+        pieces = lemmas._y_pieces(A, B, C)
+    except ValueError as exc:
+        pieces = None, f"raises: {exc}", None, None
+    value, branch, s, r = pieces
+    return [enc(A), enc(B), enc(C), enc(value), branch, enc(s), enc(r)]
+
+
+def write_y_golden():
+    """Record the ladder as it stands on the fixed inputs and on 100 inputs of
+    each seeded regime of :func:`y_regime_inputs`, one record a line."""
+    regimes = [(yin.A, yin.B, yin.C) for yin in y_regime_inputs(np.random.default_rng(31), 100)]
+    records = [y_golden_record(*abc) for abc in y_golden_fixed_inputs() + regimes]
+    Y_GOLDEN.write_text("[\n" + ",\n".join(map(json.dumps, records)) + "\n]\n")
+
+
+def test_y_pieces_match_the_golden_file_bit_for_bit():
+    # every value, label, sign source and radius of the ladder, and every
+    # rejection, as recorded in y_golden.json; the file's inputs are read
+    # from it, so a change of numpy's streams cannot move them
+    golden = json.loads(Y_GOLDEN.read_text())
+    for record in golden:
+        assert y_golden_record(*map(float.fromhex, record[:3])) == record, record
+    inputs = {tuple(record[:3]) for record in golden}
+    assert {tuple(map(float.hex, abc)) for abc in y_golden_fixed_inputs()} <= inputs
+    labels = Counter(record[4] for record in golden)
+    assert set(labels) == {b for _, b, _ in BRANCH_EXEMPLARS} | {
+        "raises: a branch condition compares two values that are not finite: "
+        "the inputs are too large"}
+    assert min(labels.values()) >= 10, labels
+    assert sum(record[3] == "inf" for record in golden) >= 4
 
 
 # --- |c2 - v c1^2| ------------------------------------------------------------------
@@ -883,3 +958,6 @@ def test_tau_split_is_quartic_root():
     assert len(real_pos) == 1
     assert real_pos[0] == pytest.approx(TAU_SPLIT, abs=1e-6)
 
+
+if __name__ == "__main__":  # PYTHONPATH=src python tests/test_lemmas.py
+    write_y_golden()
