@@ -1,14 +1,15 @@
 """Command-line front end: series, eval, verify and lemma subcommands.
 
-Every command is deterministic given its arguments and config file.  Each
-handler returns its config, its results, the text to print and its exit code;
-``main`` alone writes the ``--json`` report, then prints, so a refused command
-prints nothing.  JSON reports are written with a fixed layout so that
-re-reading and re-serializing a file is byte-identical.  Exit codes: 0 success
-/ all passed, 1 verification failure, 2 usage or hypothesis error.  The lemma
-and verify handlers import ``lemmas`` and ``verifier`` themselves.  numpy
-comes with ``verifier`` and with a lemma scan (an oracle, or the L24 check);
-series, eval and the other lemma closed forms load none.
+Every command is deterministic given its arguments; ``verify`` searches at
+the default ``SearchConfig``.  Each handler returns its config, its results,
+the text to print and its exit code; ``main`` alone writes the ``--json``
+report, then prints, so a refused command prints nothing.  JSON reports are
+written with a fixed layout so that re-reading and re-serializing a file is
+byte-identical.  Exit codes: 0 success / all passed, 1 verification failure,
+2 usage or hypothesis error.  The lemma and verify handlers import ``lemmas``
+and ``verifier`` themselves.  numpy comes with ``verifier`` and with a lemma
+scan (an oracle, or the L24 check); series, eval and the other lemma closed
+forms load none.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -108,7 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the global search for a bound")
     p_verify.add_argument("theorem", help="a theorem id or 'all'")
-    p_verify.add_argument("--config", metavar="PATH", help="key = value per line")
     p_verify.add_argument("--json", metavar="PATH")
     p_verify.set_defaults(handler=_cmd_verify)
 
@@ -237,39 +237,6 @@ def _cmd_eval(args) -> tuple:
 
 # --- verify -------------------------------------------------------------------
 
-def _load_config(path: str | None):
-    from .verifier import SearchConfig
-
-    if not path:
-        return SearchConfig()
-    overrides, set_on = {}, {}  # set_on: the line that set each key
-    keys = {f.name for f in fields(SearchConfig)}  # every one an int
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is no key
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, val = (part.strip() for part in line.partition("="))
-        if key not in keys:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in set_on:
-            raise UsageError(f"{path}:{lineno}: {key} is already set on line {set_on[key]}")
-        set_on[key] = lineno
-        try:
-            overrides[key] = int(val)
-        except ValueError:
-            raise UsageError(f"{path}:{lineno}: bad value for {key}") from None
-    try:
-        return SearchConfig(**overrides)
-    except ValueError as exc:
-        raise UsageError(f"invalid config: {exc}") from None
-
-
 def _point_json(pt: CaratheodoryPoint) -> dict:
     return {
         "tau1": float(pt.tau1),
@@ -300,9 +267,9 @@ def _report_table(reports) -> list:
 
 
 def _cmd_verify(args) -> tuple:
-    from .verifier import THEOREM_IDS, verify
+    from .verifier import THEOREM_IDS, SearchConfig, verify
 
-    cfg = _load_config(args.config)
+    cfg = SearchConfig()
     if args.theorem == "all":
         ids = THEOREM_IDS
     elif args.theorem in THEOREM_IDS:

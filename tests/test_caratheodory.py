@@ -234,20 +234,6 @@ def test_mag_squared_is_exact_on_rationals():
         assert got == want and type(got) is type(want), x
 
 
-def test_range_check_100k_samples():
-    # |c_i| <= 2 across the whole parameter box
-    rng = np.random.default_rng(20240211)
-    n = 100_000
-    t1 = rng.uniform(0.0, 1.0, n)
-    t2 = rng.uniform(0.0, 1.0, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-    t3 = rng.uniform(0.0, 1.0, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-    for i in range(n):
-        c = coeffs_from_point(CaratheodoryPoint(t1[i], t2[i], t3[i]))
-        assert abs(c.c1) <= 2 + 1e-9
-        assert abs(c.c2) <= 2 + 1e-9
-        assert abs(c.c3) <= 2 + 1e-9
-
-
 # --- extremal representing functions ----------------------------------------------
 
 def test_extremal_series_half_plane():

@@ -107,6 +107,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match="grid_tau1"):
             SearchConfig(grid_tau1=grid)
     assert SearchConfig(grid_tau1=TAU1_GRID_MAX).grid_tau1 == TAU1_GRID_MAX
+    # the polar grid sizes are unused, but still refused below 2
+    for name in ("grid_r", "grid_theta"):
+        with pytest.raises(ValueError, match=f"{name} must be >= 2"):
+            SearchConfig(**{name: 1})
 
 
 @pytest.mark.parametrize("field, value", [
