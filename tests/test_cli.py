@@ -461,6 +461,15 @@ def test_verify_unwritable_json_exits_two(tmp_path, capsys):
         assert code == 2 and out == "" and "cannot write" in err, argv
 
 
+@pytest.mark.parametrize("key", ["grid_r", "grid_theta"])
+def test_verify_polar_grid_below_two_exits_two(monkeypatch, capsys, key):
+    # the command builds its SearchConfig at run time: a polar grid below 2 is
+    # refused there, and the refusal exits 2 before any search prints
+    monkeypatch.setattr(verifier, "SearchConfig", lambda: SearchConfig(**{key: 1}))
+    code, out, err = run(capsys, "verify", "all")
+    assert code == 2 and out == "" and f"{key} must be >= 2" in err
+
+
 # --- lemma ----------------------------------------------------------------------
 
 def test_lemma_y_with_oracle(tmp_path, capsys):
