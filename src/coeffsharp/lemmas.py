@@ -257,10 +257,18 @@ def form_coefficients(f) -> tuple:
 
 def _horner(coeffs, x):
     """The polynomial with ``coeffs`` (highest degree first) at x, starting
-    from the leading coefficient."""
+    from the leading coefficient.
+
+    The first product is a new value; on arrays every later step multiplies
+    and adds into it in place, so a pass allocates once and never writes to
+    ``coeffs`` or ``x``.  Each step rounds as ``value * x + c`` does."""
     value, *rest = coeffs
-    for c in rest:
-        value = value * x + c
+    if rest:
+        value = value * x
+        value += rest[0]
+        for c in rest[1:]:
+            value *= x
+            value += c
     return value
 
 
@@ -440,7 +448,7 @@ def lemma24_check(B: float, D: float) -> Lemma24Report:
     It is ``A + B' tau2 + C tau2^2 + W (1 - |tau2|^2) tau3`` with real A, B',
     C and ``W = 2 (1 - tau1^2)``, the weighted sum of its terms' exact tau1
     rows, so its maximum over (tau2, tau3) is :func:`form_max`, a profile of
-    tau1 scanned at 21 points of [0, 1] by one stacked Horner pass.
+    tau1 scanned at 21 points of [0, 1] by one in-place Horner pass over its columns.
     ``at`` holds the maximizing triple, (tau2, tau3) exactly.
 
     Requires finite B and D with the hypothesis 0 <= B <= 1 and

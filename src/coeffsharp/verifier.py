@@ -84,9 +84,10 @@ REFINEMENT_ROUNDS_MAX = 64
 #: points, so the cap bounds its memory
 TAU1_GRID_MAX = 100_000
 #: fewest columns of a theorem's rows, those of a quartic: a shorter row gets
-#: leading zeros, which change no bit on [0, 1].  Trimmed rows would scan the
-#: 2-parameter targets about a fifth faster; that waits until the benchmark's
-#: peak RSS stops growing with the number of passes it runs.
+#: leading zeros, which change no bit on [0, 1].  Trimmed rows would take
+#: about 30% off a 2-parameter verify (74 against 106 us in process, on a
+#: 2-core x86-64 host); that waits until the benchmark's peak RSS stops
+#: growing with the number of passes it runs.
 ROW_WIDTH = 5
 
 
@@ -144,11 +145,13 @@ class Theorem:
         return 1.0 if self.bound.direction == "max" else -1.0
 
     @cached_property
-    def _rows(self) -> np.ndarray:
-        """The tau1 polynomials the profile reads, highest degree first, as
-        the rows of one float array: A and B, then C and W unless both are
-        zero, then the offset of a moduli difference.  One :func:`_horner`
-        pass over its transpose evaluates them all; derived on first use."""
+    def _columns(self) -> tuple:
+        """The tau1 polynomials the profile reads, as the rows of one
+        read-only float array stored column by column: one contiguous
+        ``(k, 1)`` column per degree, highest first, the layout
+        :func:`_horner` reads.  The rows are A and B, then C and W unless
+        both are zero, then the offset of a moduli difference; derived on
+        first use."""
         A, B, *CW = _tau1_polynomials(_FUNCTIONALS[self.modulus][1])
         rows = [A, B]
         if any(any(p) for p in CW):
@@ -160,26 +163,38 @@ class Theorem:
             if any(any(p) for p in rest):
                 raise ValueError(f"{self.offset} depends on tau2 or tau3")
             rows.append(offset)
-        return _float_rows(rows, ROW_WIDTH)
+        columns = np.ascontiguousarray(_float_rows(rows, ROW_WIDTH).T[:, :, None])
+        columns.setflags(write=False)
+        return tuple(columns)
 
     def profile(self, t1) -> np.ndarray:
         """``sign`` times the extremum over (tau2, tau3) at each tau1: the
-        function of tau1 alone that the search maximizes."""
-        rows = _horner(self._rows.T[:, :, None], t1)
-        A, B = rows[:2]
-        if len(rows) >= 4:  # C and W are kept
+        function of tau1 alone that the search maximizes.  One Horner pass
+        over the columns allocates the rows, and a 2-parameter profile is
+        formed in them in place."""
+        rows = _horner(self._columns, t1)
+        if len(rows) >= 4:  # C and W are kept, so a supremum (see _columns)
             modulus = form_max(*rows[:4])
-        elif self.sign > 0:
-            modulus = np.abs(A) + np.abs(B)
+            if self.offset is not None:
+                modulus -= np.abs(rows[-1])
+            return modulus
+        np.abs(rows, out=rows)
+        modulus = rows[0]
+        if self.sign > 0:
+            modulus += rows[1]
         else:
-            modulus = np.maximum(0.0, np.abs(A) - np.abs(B))
+            modulus -= rows[1]
+            np.maximum(0.0, modulus, out=modulus)
         if self.offset is not None:
-            modulus = modulus - np.abs(rows[-1])
-        return self.sign * modulus
+            modulus -= rows[-1]
+        if self.sign < 0:
+            np.negative(modulus, out=modulus)
+        return modulus
 
     def maximizer(self, t1: float) -> CaratheodoryPoint:
-        """The exact (tau2, tau3) where ``profile`` is attained at tau1."""
-        rows = _horner(self._rows.T, t1).tolist()
+        """The exact (tau2, tau3) where ``profile`` is attained at tau1; the
+        rows are evaluated at the one float by :func:`_horner` on Python floats."""
+        rows = [_horner(row, t1) for row in zip(*(c.ravel().tolist() for c in self._columns))]
         A, B = rows[:2]
         if len(rows) >= 4:
             return CaratheodoryPoint(t1, *form_argmax(*rows[:4]))

@@ -812,6 +812,36 @@ def test_lemma24_rows_are_the_exact_tau1_rows_of_its_terms():
     assert _lemma24_rows().tolist() == padded
 
 
+def horner_by_rebinding(coeffs, x):
+    """Horner's rule as ``value = value * x + c``: a new value every step."""
+    value, *rest = coeffs
+    for c in rest:
+        value = value * x + c
+    return value
+
+
+def test_horner_in_place_writes_neither_input_and_rounds_as_rebinding():
+    rng = np.random.default_rng(33)
+    stack = rng.uniform(-2.0, 2.0, (5, 4, 1))  # (w, k, 1): one column per degree
+    stack_bytes = stack.tobytes()
+    for x in (np.linspace(0.0, 1.0, 101), np.linspace(0.25, 0.75, 7)):
+        x_bytes = x.tobytes()
+        got = _horner(stack, x)
+        assert got.shape == (4, x.size)
+        assert got.tobytes() == horner_by_rebinding(stack, x).tobytes()
+        assert stack.tobytes() == stack_bytes and x.tobytes() == x_bytes
+        assert not np.shares_memory(got, stack) and not np.shares_memory(got, x)
+    # Python floats and Fractions: the same values, the inputs untouched
+    third = Fraction(1, 3)
+    exact = [third, Fraction(-2), third]
+    for coeffs, x in ((stack[:, 0, 0].tolist(), 0.3), (exact, Fraction(3, 4))):
+        kept = list(coeffs)
+        got = _horner(coeffs, x)
+        assert type(got) is type(x) and got == horner_by_rebinding(coeffs, x)
+        assert coeffs == kept
+    assert _horner(exact, Fraction(3, 4)) == Fraction(-47, 48)
+
+
 def test_a_warm_lemma24_check_maps_no_point(monkeypatch):
     lemma24_check(0.25, 0.0)  # derives the rows, once per process
     calls = []

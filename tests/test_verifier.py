@@ -60,6 +60,11 @@ def derived(name):
     return lemmas._tau1_polynomials(_FUNCTIONALS[name][1])
 
 
+def cached_rows(th):
+    """A theorem's cached float rows, read back from its per-degree columns."""
+    return np.concatenate(th._columns, axis=1)
+
+
 def polyval_rows(th, t1):
     """A, B, C, W and the offset (0 without one) at t1, each by ``np.polyval``
     of its derived polynomial: the oracle of the stacked Horner pass."""
@@ -275,14 +280,19 @@ def test_theorems_keep_only_their_nonzero_rows(theorem_id):
     # the kept rows, padded with leading zeros to one width
     kept = [A, B, *((C, W) if three else ()), *offset[:1]]
     width = max(verifier.ROW_WIDTH, *map(len, kept))
-    assert th._rows.tolist() == [[0.0] * (width - len(p)) + [float(c) for c in p] for p in kept]
+    assert cached_rows(th).tolist() == [[0.0] * (width - len(p)) + [float(c) for c in p]
+                                        for p in kept]
+    # one contiguous, read-only (k, 1) column per degree, highest first
+    assert len(th._columns) == width
+    assert all(c.shape == (len(kept), 1) and c.flags.c_contiguous and not c.flags.writeable
+               for c in th._columns)
 
 
 def test_rows_refuse_an_infimum_over_a_three_parameter_form():
     # only |A + B tau2| has a closed-form infimum; gamma3 keeps C and W
     th = Theorem("gamma3_lower", "gamma3", Bound("0", 0.0, "min"), (F(0), F(0), F(0)), "gamma3")
     with pytest.raises(ValueError, match=r"gamma3_lower: only \|A \+ B tau2\|"):
-        th._rows
+        th._columns
 
 
 def test_rows_refuse_an_offset_that_depends_on_tau2():
@@ -290,7 +300,7 @@ def test_rows_refuse_an_offset_that_depends_on_tau2():
     th = Theorem("swapped", "diff_gamma", Bound("1/4", 0.25, "max"), (F(0), F(1), F(0)),
                  "gamma1", "gamma2")
     with pytest.raises(ValueError, match="gamma2 depends on tau2 or tau3"):
-        th._rows
+        th._columns
 
 
 #: (A, B, C, W) of every functional the theorems read, each highest degree
@@ -357,22 +367,34 @@ def test_tau1_polynomials_refuse_a_form_outside_the_shape(monkeypatch, fresh_der
 @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
 def test_stacked_horner_is_polyval_bit_for_bit(theorem_id):
     th = THEOREMS[theorem_id]
-    t1 = np.linspace(0.0, 1.0, 1001)
-    # the profile on all five polyval rows: dropping the zero rows changes no bit
-    A, B, C, W, offset = polyval_rows(th, t1)
-    if theorem_id in THREE_PARAM:
-        modulus = form_max(A, B, C, W)
-    elif th.sign > 0:
-        modulus = np.abs(A) + np.abs(B)
-    else:
-        modulus = np.maximum(0.0, np.abs(A) - np.abs(B))
-    assert th.profile(t1).tobytes() == (th.sign * (modulus - np.abs(offset))).tobytes()
-    # the scalar rows that maximizer reads
-    for t in (0.0, 1.0, 0.5, *t1[1::97].tolist(), math.sqrt(2 / 11)):
-        at = _horner(th._rows.T, t).tolist()
-        assert [v.hex() for v in at] == [float(np.polyval(r, t)).hex() for r in th._rows], t
+    columns = b"".join(c.tobytes() for c in th._columns)
+    grids = [np.linspace(0.0, 1.0, n) for n in (1001, 41, 1001)]
+    # each profile thrice, on 1001, 41 and again 1001 points: the in-place
+    # pass writes neither the cached columns nor an earlier result
+    profiles = [th.profile(t1) for t1 in grids]
+    before = [p.tobytes() for p in profiles]
+    for t1, got in zip(grids, profiles):
+        # the profile on all five polyval rows: dropping the zero rows changes no bit
+        A, B, C, W, offset = polyval_rows(th, t1)
+        if theorem_id in THREE_PARAM:
+            modulus = form_max(A, B, C, W)
+        elif th.sign > 0:
+            modulus = np.abs(A) + np.abs(B)
+        else:
+            modulus = np.maximum(0.0, np.abs(A) - np.abs(B))
+        assert got.tobytes() == (th.sign * (modulus - np.abs(offset))).tobytes()
+    assert profiles[0].tobytes() == profiles[2].tobytes()
+    assert [p.tobytes() for p in profiles] == before
+    assert b"".join(c.tobytes() for c in th._columns) == columns
+    # the scalar rows that maximizer reads: Horner on Python floats
+    rows = cached_rows(th)
+    for t in (0.0, 1.0, 0.5, *grids[0][1::97].tolist(), math.sqrt(2 / 11)):
+        at = [_horner(row, t) for row in rows.tolist()]
+        assert all(type(v) is float for v in at)
+        assert [v.hex() for v in at] == [float(np.polyval(r, t)).hex() for r in rows], t
         assert [v.hex() for v in at] == [float(np.polyval(r, np.array([t]))[0]).hex()
-                                         for r in th._rows]
+                                         for r in rows]
+    assert b"".join(c.tobytes() for c in th._columns) == columns
 
 
 def test_reports_carry_counts_and_points():
