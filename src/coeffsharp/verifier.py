@@ -26,8 +26,9 @@ eliminated in closed form:
 The moduli differences subtract ``|offset|``, a function of tau1 alone.
 A theorem keeps, as floats, only the polynomials its profile reads.
 ``_search.tau1_argmax`` scans the profile over tau1 in [0, 1] (one full grid,
-then windows around the incumbent that shrink by ``SHRINK`` per round), so
-``evaluations`` counts tau1 points, and the reported maximizer carries the
+then windows around the incumbent that shrink by ``SHRINK`` per round, until
+one collapses to a single float), so ``evaluations`` counts tau1 points,
+``grid_tau1`` per round scanned, and the reported maximizer carries the
 exact maximizing tau2 and tau3.  A config sets only counts: the grid size and
 the number of rounds (``SearchConfig.grid_r`` and ``grid_theta`` are accepted
 and validated but no longer used).  The pass rule is fixed: the search attains
@@ -78,7 +79,8 @@ SHRINK = 0.35
 #: and never exceeds it by more than EXCEED_TOL
 ATTAIN_TOL, EXCEED_TOL = 1e-4, 1e-9
 #: most refinement rounds of a config: round 64's window is narrower than
-#: 1e-29, and every round rescans its window, collapsed or not
+#: 1e-29.  A window at tau1 = 0 never collapses, so every round there scans
+#: its full grid, and the cap bounds that work
 REFINEMENT_ROUNDS_MAX = 64
 #: largest tau1 grid of a config: a scan holds a few arrays of that many
 #: points, so the cap bounds its memory

@@ -407,10 +407,14 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "verify_golden.json").read
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_verify_all_results_match_the_golden_file(tmp_path, capsys, name):
     # made by the scan/refine loop that rebuilt each window with linspace and
-    # np.unique, and np.polyval per polynomial: the results, evaluation
-    # counts included, must not move by a bit.  The default is the command's
-    # own search; the other entries, refinement_rounds=40 through collapsed
-    # windows among them, are library configs.  No numpy warning may leak.
+    # np.unique, and np.polyval per polynomial: the results must not move by
+    # a bit.  The evaluation counts are those of the loop that scans each
+    # window's linspace points, repeated floats included, and stops at the
+    # first collapsed window; they differ from the first loop's only where
+    # a window held repeated floats or had collapsed.  The default is the
+    # command's own search; the other entries, refinement_rounds=40 through
+    # collapsed windows among them, are library configs.  No numpy warning
+    # may leak.
     overrides = GOLDEN[name]["overrides"]
     if overrides:
         got = [cli._report_json(rep) for rep in verify_all(SearchConfig(**overrides))]

@@ -5,24 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from coeffsharp import _search
 from coeffsharp._search import tau1_argmax
-from coeffsharp.lemmas import (
-    PsiInput,
-    YInput,
-    psi_empirical,
-    y_brute_force,
-    _Y_ROUNDS,
-    _Y_SHRINK,
-    _y_radius_profile,
-)
-from coeffsharp.verifier import SearchConfig, verify_all
 
 
 def reference_tau1_argmax(profile, count, rounds=0, shrink=0.35):
     """The scan/refine loop as first written: every window through
     ``np.linspace``, the incumbent appended and the whole grid re-sorted and
-    deduplicated by ``np.unique``.  The oracle of the engine's grids."""
+    deduplicated by ``np.unique``, and every round scanned, collapsed window
+    or not.  The oracle of the engine's values and points."""
     grid = np.linspace(0.0, 1.0, count)
     value, t1, evals = -math.inf, 0.0, 0
     for k in range(rounds + 1):
@@ -107,41 +97,34 @@ def test_evaluations_count_every_scanned_point():
     grids = []
     _, _, evals = tau1_argmax(recording(lambda t: np.cos(3 * t) * np.sin(7 * t), grids), 11,
                               rounds=5, shrink=0.4)
-    assert len(grids) == 6
-    assert grids[0].size == 11
-    # each round scans 11 points, plus the incumbent when it is off them
-    assert all(11 <= grid.size <= 12 for grid in grids[1:])
-    assert evals == sum(grid.size for grid in grids)
-
-
-def hexed(result):
-    value, t1, evals = result
-    return value.hex(), t1.hex(), evals
+    assert [grid.size for grid in grids] == [11] * 6
+    assert evals == 66
 
 
 def assert_same_as_reference(profile, count, rounds, shrink):
-    """Same result bit for bit, and the same grids byte for byte, as the
-    reference loop; every window is ``np.linspace(lo, hi, count)`` plus the
-    incumbent."""
-    fast, slow = [], []
-    got = tau1_argmax(recording(profile, fast), count, rounds, shrink)
-    want = reference_tau1_argmax(recording(profile, slow), count, rounds, shrink)
-    assert hexed(got) == hexed(want)
-    assert [g.tobytes() for g in fast] == [g.tobytes() for g in slow]
+    """The reference loop's value and point, bit for bit.  Every scanned grid
+    is ``np.linspace(lo, hi, count)`` byte for byte, and the scan stops at the
+    first window whose step is zero."""
+    grids = []
+    value, t1, evals = tau1_argmax(recording(profile, grids), count, rounds, shrink)
+    want = reference_tau1_argmax(profile, count, rounds, shrink)
+    assert (value.hex(), t1.hex()) == (want[0].hex(), want[1].hex())
+    assert evals == count * len(grids)
     value, t1 = -math.inf, 0.0
-    for k, grid in enumerate(fast):
+    for k in range(rounds + 1):
         half = shrink ** k / 2.0
         lo, hi = (max(t1 - half, 0.0), min(t1 + half, 1.0)) if k else (0.0, 1.0)
-        window = np.linspace(lo, hi, count)
-        assert np.all(np.diff(grid) > 0)
-        if np.all(np.diff(window) > 0):
-            if grid.size > count:  # the incumbent fell between window points
-                grid = np.delete(grid, int(np.flatnonzero(grid == t1)[0]))
-            assert grid.tobytes() == window.tobytes()
+        if (hi - lo) / (count - 1) == 0:
+            assert len(grids) == k
+            break
+        grid = grids[k]
+        assert grid.tobytes() == np.linspace(lo, hi, count).tobytes()
         vals = profile(grid)
         i = int(np.argmax(vals))
         if k == 0 or vals[i] > value:
             value, t1 = vals[i], float(grid[i])
+    else:
+        assert len(grids) == rounds + 1
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -157,7 +140,8 @@ def test_matches_the_reference_loop_on_random_profiles(seed):
 @pytest.mark.parametrize("peak", [0.0, 1.0, 0.5, 0.3141592653589793, 1e-300, 1 - 2 ** -53])
 @pytest.mark.parametrize("count, shrink", [(2, 0.5), (7, 0.6), (101, 0.35), (200, 0.05)])
 def test_matches_the_reference_loop_at_the_edges_and_inside(peak, count, shrink):
-    # 60 rounds drive every window below the float spacing around the peak
+    # 60 rounds drive every window below the float spacing around the peak,
+    # and the scan stops at the first one that collapses
     assert_same_as_reference(lambda t: -np.abs(t - peak), count, 60, shrink)
 
 
@@ -177,31 +161,47 @@ def test_matches_the_reference_loop_on_nan_profiles(count):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_windows_are_linspace_plus_the_incumbent(seed):
-    # windows of every width down to none, at every magnitude down to subnormal
+    # tau1_argmax forms each window as numpy's linspace does, without the call:
+    # steps * step, then + lo, then the last point set to hi.  Checked on
+    # windows of every width down to none, at every magnitude down to
+    # subnormal, wherever the step is nonzero: the engine scans no other
+    # window.  The incumbent needs no place of its own in a window.
     rng = np.random.default_rng(2000 + seed)
     for _ in range(300):
         count = int(rng.integers(2, 201))
         scale = 10.0 ** rng.uniform(-320, 0)
         lo = float(rng.uniform(0.0, 1.0)) * scale
         hi = min(lo + float(rng.choice([0.0, 10.0 ** rng.uniform(-330, 0)])), 1.0)
-        t1 = float(rng.choice([lo, hi, rng.uniform(lo, hi)]))
-        got = _search._window(lo, hi, np.arange(count, dtype=float), t1)
-        want = np.unique(np.append(np.linspace(lo, hi, count), t1))
-        assert got.tobytes() == want.tobytes(), (lo, hi, t1, count)
+        step = (hi - lo) / (count - 1)
+        if not step:
+            continue
+        got = np.arange(count, dtype=float) * step
+        got += lo
+        got[-1] = hi
+        assert got.tobytes() == np.linspace(lo, hi, count).tobytes(), (lo, hi, count)
 
 
-def test_normal_rounds_never_deduplicate(monkeypatch):
-    calls, unique = [], np.unique
-    monkeypatch.setattr(np, "unique", lambda *args, **kw: calls.append(args) or unique(*args, **kw))
-    verify_all(SearchConfig())
-    psi_empirical(PsiInput(0.25, -0.03125, 0.125))
-    y_brute_force(YInput(-0.2, 0.5, 0.3))
-    # and the oracle's radius search on ten times its radii
-    tau1_argmax(_y_radius_profile(-0.2, 0.5, 0.3), 2000, _Y_ROUNDS, _Y_SHRINK)
-    assert calls == []
-    # at 40 rounds the windows around tau1 = 1 fall below the float spacing
-    verify_all(SearchConfig(refinement_rounds=40))
-    assert calls
+@pytest.mark.parametrize("peak, count, shrink, scanned", [
+    # next to 1 the windows collapse onto the peak: [1 - half, 1] is 1.0 alone
+    # once half <= 2**-54, the window around 1 - 2**-53 once half <= 2**-55
+    (1.0, 101, 0.35, 35),
+    (1 - 2 ** -53, 7, 0.5, 54),
+    # next to 0 a window [0, half] never collapses while half is normal; with
+    # shrink 2**-107, round 10's half-width is 2**-1071, eight subnormal
+    # spacings, so its step (hi - lo) / 100 rounds to zero.  The first
+    # engine scanned that window through linspace's denormal path; no caller
+    # comes near it (verify's narrowest half-width, 0.35**64 / 2, is about
+    # 3e-30, and the oracles' are wider).
+    (0.0, 101, 2.0 ** -107, 10),
+])
+def test_no_round_scans_a_zero_step_window(peak, count, shrink, scanned):
+    grids = []
+    value, t1, evals = tau1_argmax(recording(lambda t: -np.abs(t - peak), grids), count, 64,
+                                   shrink)
+    assert (value, t1) == (0.0, peak)
+    assert len(grids) == scanned and evals == scanned * count
+    for grid in grids:
+        assert (grid[-1] - grid[0]) / (count - 1) > 0
 
 
 @pytest.mark.parametrize("kwargs, message", [

@@ -102,7 +102,8 @@ def random_t1_tau2(seed, n=200):
 def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(grid_tau1=1)
-    # rounds are capped: each rescans its window, collapsed or not
+    # rounds are capped: a window at tau1 = 0 never collapses, so each round
+    # scans its full grid
     for rounds in (-1, REFINEMENT_ROUNDS_MAX + 1):
         with pytest.raises(ValueError, match="refinement_rounds"):
             SearchConfig(refinement_rounds=rounds)
@@ -226,8 +227,20 @@ def test_evaluations_count_tau1_points():
     unrefined = SearchConfig(grid_tau1=13, refinement_rounds=0)
     for theorem_id in THEOREM_IDS:
         assert verify(theorem_id, unrefined).evaluations == 13, theorem_id
-        # each round scans 101 points, plus the incumbent when it is off them
-        assert 101 * 7 <= verify(theorem_id).evaluations <= 101 + 6 * 102 < 1000, theorem_id
+        # each of the 7 rounds scans its 101 points; none collapses
+        assert verify(theorem_id).evaluations == 707, theorem_id
+
+
+@pytest.mark.filterwarnings("error")
+def test_collapsed_windows_end_the_scan_without_a_warning():
+    # at tau1 = 1 round 35's window [1 - 0.35**35 / 2, 1] is 1.0 alone, so
+    # gamma1's scan stops after 35 rounds of 101 points
+    deep = verify_all(SearchConfig(refinement_rounds=REFINEMENT_ROUNDS_MAX))
+    assert all(rep.passed for rep in deep)
+    assert deep[THEOREM_IDS.index("gamma1")].evaluations == 35 * 101
+    # two-point windows: coarse enough to undershoot, never to exceed
+    for rep in verify_all(SearchConfig(grid_tau1=2)):
+        assert rep.gap >= -EXCEED_TOL and rep.evaluations % 2 == 0, rep.theorem_id
 
 
 def test_results_do_not_depend_on_polar_grid_sizes():
